@@ -130,7 +130,14 @@ Rect row_slice(const Rect& leaf, int parts, int idx) {
 
 }  // namespace
 
-BlockLayout CosmaPlan::a_native() const {
+const PlanLayouts<3>::Set& CosmaPlan::natives() const {
+  return natives_.get([&] {
+    return PlanLayouts<3>::Set{make_a_native(), make_b_native(),
+                                make_c_native()};
+  });
+}
+
+BlockLayout CosmaPlan::make_a_native() const {
   BlockLayout l(m_, k_, nranks_);
   for (int r = 0; r < active(); ++r) {
     const Codes c = codes(r);
@@ -141,7 +148,7 @@ BlockLayout CosmaPlan::a_native() const {
   return l;
 }
 
-BlockLayout CosmaPlan::b_native() const {
+BlockLayout CosmaPlan::make_b_native() const {
   BlockLayout l(k_, n_, nranks_);
   for (int r = 0; r < active(); ++r) {
     const Codes c = codes(r);
@@ -152,7 +159,7 @@ BlockLayout CosmaPlan::b_native() const {
   return l;
 }
 
-BlockLayout CosmaPlan::c_native() const {
+BlockLayout CosmaPlan::make_c_native() const {
   BlockLayout l(m_, n_, nranks_);
   for (int r = 0; r < active(); ++r) {
     const Codes c = codes(r);
@@ -174,9 +181,9 @@ void cosma_multiply(Comm& world, const CosmaPlan& plan, bool trans_a,
   const CosmaPlan::Codes co = plan.codes(me);
   const ProcGrid& g = plan.grid();
 
-  const BlockLayout a_native = plan.a_native();
-  const BlockLayout b_native = plan.b_native();
-  const BlockLayout c_native = plan.c_native();
+  const BlockLayout& a_native = plan.a_native();
+  const BlockLayout& b_native = plan.b_native();
+  const BlockLayout& c_native = plan.c_native();
 
   TrackedBuffer<T> a_init(a_native.local_size(me));
   TrackedBuffer<T> b_init(b_native.local_size(me));

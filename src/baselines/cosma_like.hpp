@@ -63,9 +63,9 @@ class CosmaPlan {
   /// Initial distributions: each rank owns a 1/p_n row slice of its A leaf
   /// block and a 1/p_m row slice of its B leaf block; final C is the 1/p_k
   /// row slice of the leaf C block.
-  BlockLayout a_native() const;
-  BlockLayout b_native() const;
-  BlockLayout c_native() const;
+  const BlockLayout& a_native() const { return natives()[0]; }
+  const BlockLayout& b_native() const { return natives()[1]; }
+  const BlockLayout& c_native() const { return natives()[2]; }
 
   /// Builds grid + strategy. `force_grid` mirrors Table II experiments.
   static CosmaPlan make(i64 m, i64 n, i64 k, int nranks,
@@ -84,11 +84,18 @@ class CosmaPlan {
   static CosmaPlan make_carma(i64 m, i64 n, i64 k, int nranks);
 
  private:
+  /// Built on first use; shared by every copy of the plan.
+  const PlanLayouts<3>::Set& natives() const;
+  BlockLayout make_a_native() const;
+  BlockLayout make_b_native() const;
+  BlockLayout make_c_native() const;
+
   i64 m_ = 0, n_ = 0, k_ = 0;
   int nranks_ = 0;
   ProcGrid grid_;
   std::vector<CosmaStep> steps_;
   bool ctf_mode_ = false;
+  PlanLayouts<3> natives_;
 };
 
 /// C = op(A) x op(B) with COSMA-like scheduling; same calling convention as

@@ -10,6 +10,16 @@ using simmpi::Phase;
 using simmpi::PhaseScope;
 using simmpi::TrackedBuffer;
 
+const PlanLayouts<4>::Set& CtfPlan::remaps() const {
+  return remaps_.get([&] {
+    const i64 m = inner.m(), n = inner.n(), k = inner.k();
+    const int P = inner.nranks();
+    return PlanLayouts<4>::Set{
+        BlockLayout::col_1d(m, k, P), BlockLayout::col_1d(k, m, P),
+        BlockLayout::col_1d(k, n, P), BlockLayout::col_1d(n, k, P)};
+  });
+}
+
 template <typename T>
 void ctf_multiply(Comm& world, const CtfPlan& plan, bool trans_a, bool trans_b,
                   const BlockLayout& a_layout, const T* a_local,
@@ -20,12 +30,8 @@ void ctf_multiply(Comm& world, const CtfPlan& plan, bool trans_a, bool trans_b,
   // CTF's internal mapping stage: operands are shuffled into the framework's
   // own (cyclic) distribution before the contraction kernel sees them. We
   // model that as one extra full redistribution hop per operand.
-  const BlockLayout a_cyc = BlockLayout::col_1d(trans_a ? p.k() : p.m(),
-                                                trans_a ? p.m() : p.k(),
-                                                world.size());
-  const BlockLayout b_cyc = BlockLayout::col_1d(trans_b ? p.n() : p.k(),
-                                                trans_b ? p.k() : p.n(),
-                                                world.size());
+  const BlockLayout& a_cyc = plan.a_remap(trans_a);
+  const BlockLayout& b_cyc = plan.b_remap(trans_b);
   TrackedBuffer<T> a_tmp(a_cyc.local_size(me));
   TrackedBuffer<T> b_tmp(b_cyc.local_size(me));
   {

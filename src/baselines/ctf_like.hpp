@@ -23,11 +23,28 @@ namespace ca3dmm {
 
 struct CtfPlan {
   CosmaPlan inner;
+
+  /// CTF's internal (1-D column block) layouts of the stored operands:
+  /// A is m x k (k x m when transposed), B is k x n (n x k when
+  /// transposed). Built once per plan, on first use, and shared by its
+  /// copies.
+  const BlockLayout& a_remap(bool trans_a) const {
+    return remaps()[trans_a ? 1 : 0];
+  }
+  const BlockLayout& b_remap(bool trans_b) const {
+    return remaps()[trans_b ? 3 : 2];
+  }
+
   static CtfPlan make(i64 m, i64 n, i64 k, int nranks) {
-    CtfPlan p{CosmaPlan::make(m, n, k, nranks, find_grid_ctf(m, n, k, nranks))};
+    CtfPlan p;
+    p.inner = CosmaPlan::make(m, n, k, nranks, find_grid_ctf(m, n, k, nranks));
     p.inner.set_ctf_mode(true);  // derated local GEMM (see Machine)
     return p;
   }
+
+ private:
+  const PlanLayouts<4>::Set& remaps() const;
+  PlanLayouts<4> remaps_;
 };
 
 template <typename T>

@@ -64,7 +64,14 @@ P25dPlan P25dPlan::make(i64 m, i64 n, i64 k, int nranks,
   return p;
 }
 
-BlockLayout P25dPlan::a_native() const {
+const PlanLayouts<3>::Set& P25dPlan::natives() const {
+  return natives_.get([&] {
+    return PlanLayouts<3>::Set{make_a_native(), make_b_native(),
+                                make_c_native()};
+  });
+}
+
+BlockLayout P25dPlan::make_a_native() const {
   // Layer 0 only: rank (i, j, 0) = j*q + i owns A(i-block, j-block).
   BlockLayout l(m_, k_, nranks_);
   for (int i = 0; i < q_; ++i)
@@ -75,7 +82,7 @@ BlockLayout P25dPlan::a_native() const {
   return l;
 }
 
-BlockLayout P25dPlan::b_native() const {
+BlockLayout P25dPlan::make_b_native() const {
   BlockLayout l(k_, n_, nranks_);
   for (int i = 0; i < q_; ++i)
     for (int j = 0; j < q_; ++j) {
@@ -85,7 +92,7 @@ BlockLayout P25dPlan::b_native() const {
   return l;
 }
 
-BlockLayout P25dPlan::c_native() const {
+BlockLayout P25dPlan::make_c_native() const {
   // Each C(i, j) block is row-split across the c layers after the
   // reduce-scatter.
   BlockLayout l(m_, n_, nranks_);
@@ -116,9 +123,9 @@ void p25d_multiply(Comm& world, const P25dPlan& plan, bool trans_a,
   const int i = idx % q, j = idx / q;
   const i64 m = plan.m(), n = plan.n(), k = plan.k();
 
-  const BlockLayout a_native = plan.a_native();
-  const BlockLayout b_native = plan.b_native();
-  const BlockLayout c_native = plan.c_native();
+  const BlockLayout& a_native = plan.a_native();
+  const BlockLayout& b_native = plan.b_native();
+  const BlockLayout& c_native = plan.c_native();
 
   // A and B blocks live on layer 0 initially; every active rank still sizes
   // its (replicated) block buffers (the 2.5D extra-memory cost).

@@ -34,10 +34,10 @@ class P25dPlan {
   int active() const { return q_ * q_ * c_; }
 
   /// A and B initial distributions: q x q blocks on layer 0 only.
-  BlockLayout a_native() const;
-  BlockLayout b_native() const;
+  const BlockLayout& a_native() const { return natives()[0]; }
+  const BlockLayout& b_native() const { return natives()[1]; }
   /// Final C: each (i, j) block row-split across the c layers.
-  BlockLayout c_native() const;
+  const BlockLayout& c_native() const { return natives()[2]; }
 
   /// Chooses (q, c): maximize utilization with c <= q (the classic 2.5D
   /// feasibility bound), then minimize the composite grid objective.
@@ -45,9 +45,16 @@ class P25dPlan {
                        std::optional<std::pair<int, int>> force_qc = {});
 
  private:
+  /// Built on first use; shared by every copy of the plan.
+  const PlanLayouts<3>::Set& natives() const;
+  BlockLayout make_a_native() const;
+  BlockLayout make_b_native() const;
+  BlockLayout make_c_native() const;
+
   i64 m_ = 0, n_ = 0, k_ = 0;
   int nranks_ = 0;
   int q_ = 1, c_ = 1;
+  PlanLayouts<3> natives_;
 };
 
 /// C = op(A) x op(B) with the 2.5D algorithm; same calling convention as

@@ -53,7 +53,14 @@ SummaPlan SummaPlan::make(i64 m, i64 n, i64 k, int nranks,
   return p;
 }
 
-BlockLayout SummaPlan::a_native() const {
+const PlanLayouts<3>::Set& SummaPlan::natives() const {
+  return natives_.get([&] {
+    return PlanLayouts<3>::Set{make_a_native(), make_b_native(),
+                                make_c_native()};
+  });
+}
+
+BlockLayout SummaPlan::make_a_native() const {
   // Grid ranks are row-major over (pr, pc); idle ranks own nothing.
   BlockLayout l(m_, k_, nranks_);
   for (int i = 0; i < pr_; ++i)
@@ -64,7 +71,7 @@ BlockLayout SummaPlan::a_native() const {
   return l;
 }
 
-BlockLayout SummaPlan::b_native() const {
+BlockLayout SummaPlan::make_b_native() const {
   BlockLayout l(k_, n_, nranks_);
   for (int i = 0; i < pr_; ++i)
     for (int j = 0; j < pc_; ++j) {
@@ -74,7 +81,7 @@ BlockLayout SummaPlan::b_native() const {
   return l;
 }
 
-BlockLayout SummaPlan::c_native() const {
+BlockLayout SummaPlan::make_c_native() const {
   BlockLayout l(m_, n_, nranks_);
   for (int i = 0; i < pr_; ++i)
     for (int j = 0; j < pc_; ++j) {
@@ -97,9 +104,9 @@ void summa_multiply(Comm& world, const SummaPlan& plan, bool trans_a,
   const int gi = me / pc, gj = me % pc;
   const i64 m = plan.m(), n = plan.n(), k = plan.k();
 
-  const BlockLayout a_native = plan.a_native();
-  const BlockLayout b_native = plan.b_native();
-  const BlockLayout c_native = plan.c_native();
+  const BlockLayout& a_native = plan.a_native();
+  const BlockLayout& b_native = plan.b_native();
+  const BlockLayout& c_native = plan.c_native();
 
   TrackedBuffer<T> a_init(a_native.local_size(me));
   TrackedBuffer<T> b_init(b_native.local_size(me));

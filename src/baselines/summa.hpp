@@ -29,18 +29,25 @@ class SummaPlan {
   int pc() const { return pc_; }
   int active() const { return pr_ * pc_; }
 
-  BlockLayout a_native() const;
-  BlockLayout b_native() const;
-  BlockLayout c_native() const;
+  const BlockLayout& a_native() const { return natives()[0]; }
+  const BlockLayout& b_native() const { return natives()[1]; }
+  const BlockLayout& c_native() const { return natives()[2]; }
 
   /// Near-optimal 2-D grid (k never partitioned — SUMMA's limitation).
   static SummaPlan make(i64 m, i64 n, i64 k, int nranks,
                         std::optional<std::pair<int, int>> force_grid = {});
 
  private:
+  /// Built on first use; shared by every copy of the plan.
+  const PlanLayouts<3>::Set& natives() const;
+  BlockLayout make_a_native() const;
+  BlockLayout make_b_native() const;
+  BlockLayout make_c_native() const;
+
   i64 m_ = 0, n_ = 0, k_ = 0;
   int nranks_ = 0;
   int pr_ = 1, pc_ = 1;
+  PlanLayouts<3> natives_;
 };
 
 /// C = op(A) x op(B) with SUMMA; same calling convention as ca3dmm_multiply.

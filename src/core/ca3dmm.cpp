@@ -106,9 +106,9 @@ void ca3dmm_execute(Comm& world, const Ca3dmmPlan& plan, PlanComms* cached,
                me, cached->cannon.valid() ? cached->cannon.size() : 0, s * s);
   }
 
-  const BlockLayout a_native = plan.a_native();
-  const BlockLayout b_native = plan.b_native();
-  const BlockLayout c_native = plan.c_native();
+  const BlockLayout& a_native = plan.a_native();
+  const BlockLayout& b_native = plan.b_native();
+  const BlockLayout& c_native = plan.c_native();
 
   // ---- step 4 (Alg. 1): redistribute A and B (all ranks participate) ----
   TrackedBuffer<T> a_init(a_native.local_size(me));

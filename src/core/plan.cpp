@@ -120,7 +120,14 @@ Range Ca3dmmPlan::c_sub_cols(int J, int gk) const {
   return Range{nj.lo + local.lo, nj.lo + local.hi};
 }
 
-BlockLayout Ca3dmmPlan::a_native() const {
+const PlanLayouts<3>::Set& Ca3dmmPlan::natives() const {
+  return natives_.get([&] {
+    return PlanLayouts<3>::Set{make_a_native(), make_b_native(),
+                                make_c_native()};
+  });
+}
+
+BlockLayout Ca3dmmPlan::make_a_native() const {
   BlockLayout l(m_, k_, nranks_);
   for (int r = 0; r < active(); ++r) {
     const RankCoord co = coord(r);
@@ -137,7 +144,7 @@ BlockLayout Ca3dmmPlan::a_native() const {
   return l;
 }
 
-BlockLayout Ca3dmmPlan::b_native() const {
+BlockLayout Ca3dmmPlan::make_b_native() const {
   BlockLayout l(k_, n_, nranks_);
   for (int r = 0; r < active(); ++r) {
     const RankCoord co = coord(r);
@@ -154,7 +161,7 @@ BlockLayout Ca3dmmPlan::b_native() const {
   return l;
 }
 
-BlockLayout Ca3dmmPlan::c_native() const {
+BlockLayout Ca3dmmPlan::make_c_native() const {
   BlockLayout l(m_, n_, nranks_);
   for (int r = 0; r < active(); ++r) {
     const RankCoord co = coord(r);

@@ -140,9 +140,9 @@ class Ca3dmmPlan {
   Range c_sub_cols(int J, int gk) const;
 
   // ---- library-native distributions over all nranks world ranks ----
-  BlockLayout a_native() const;
-  BlockLayout b_native() const;
-  BlockLayout c_native() const;
+  const BlockLayout& a_native() const { return natives()[0]; }
+  const BlockLayout& b_native() const { return natives()[1]; }
+  const BlockLayout& c_native() const { return natives()[2]; }
 
   /// Communication volume lower bound (paper eq. 3), in elements.
   double volume_lower_bound() const;
@@ -154,10 +154,17 @@ class Ca3dmmPlan {
                          const Ca3dmmOptions& opt = {});
 
  private:
+  /// Built on first use; shared by every copy of the plan.
+  const PlanLayouts<3>::Set& natives() const;
+  BlockLayout make_a_native() const;
+  BlockLayout make_b_native() const;
+  BlockLayout make_c_native() const;
+
   i64 m_ = 0, n_ = 0, k_ = 0;
   int nranks_ = 0;
   Ca3dmmOptions opt_{};
   ProcGrid grid_;
+  PlanLayouts<3> natives_;
 };
 
 }  // namespace ca3dmm

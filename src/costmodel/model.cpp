@@ -212,9 +212,9 @@ Prediction predict_ca3dmm(const Workload& w, int P, const Topology& topo,
   const int active = plan.active();
   const i64 esize = w.esize;
 
-  const BlockLayout a_nat = plan.a_native();
-  const BlockLayout b_nat = plan.b_native();
-  const BlockLayout c_nat = plan.c_native();
+  const BlockLayout& a_nat = plan.a_native();
+  const BlockLayout& b_nat = plan.b_native();
+  const BlockLayout& c_nat = plan.c_native();
   const UserLayouts ul = user_layouts(w, P, a_nat, b_nat, c_nat);
 
   const GroupInfo world_info = info_range(topo, 0, P);
@@ -574,9 +574,9 @@ Prediction predict_cosma_family(const Workload& w, int P, const Machine& mach,
   const int active = plan.active();
   const i64 esize = w.esize;
 
-  const BlockLayout a_nat = plan.a_native();
-  const BlockLayout b_nat = plan.b_native();
-  const BlockLayout c_nat = plan.c_native();
+  const BlockLayout& a_nat = plan.a_native();
+  const BlockLayout& b_nat = plan.b_native();
+  const BlockLayout& c_nat = plan.c_native();
   UserLayouts ul = user_layouts(w, P, a_nat, b_nat, c_nat);
 
   const LinkParams world_link = link_range(mach, 0, P);
@@ -716,9 +716,9 @@ Prediction predict_summa(const Workload& w, int P, const Machine& mach) {
   const int pr = plan.pr(), pc = plan.pc(), active = plan.active();
   const i64 esize = w.esize;
 
-  const BlockLayout a_nat = plan.a_native();
-  const BlockLayout b_nat = plan.b_native();
-  const BlockLayout c_nat = plan.c_native();
+  const BlockLayout& a_nat = plan.a_native();
+  const BlockLayout& b_nat = plan.b_native();
+  const BlockLayout& c_nat = plan.c_native();
   const UserLayouts ul = user_layouts(w, P, a_nat, b_nat, c_nat);
 
   const LinkParams world_link = link_range(mach, 0, P);
@@ -819,9 +819,9 @@ Prediction predict_p25d(const Workload& w, int P, const Machine& mach) {
   const int q = plan.q(), c = plan.c(), active = plan.active();
   const i64 esize = w.esize;
 
-  const BlockLayout a_nat = plan.a_native();
-  const BlockLayout b_nat = plan.b_native();
-  const BlockLayout c_nat = plan.c_native();
+  const BlockLayout& a_nat = plan.a_native();
+  const BlockLayout& b_nat = plan.b_native();
+  const BlockLayout& c_nat = plan.c_native();
   const UserLayouts ul = user_layouts(w, P, a_nat, b_nat, c_nat);
 
   const LinkParams world_link = link_range(mach, 0, P);

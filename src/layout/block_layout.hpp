@@ -11,9 +11,14 @@
 // and 8) convert between any pair.
 #pragma once
 
+#include <array>
+#include <compare>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/lazy.hpp"
 #include "common/partition.hpp"
 
 namespace ca3dmm {
@@ -33,6 +38,14 @@ struct Rect {
 inline Rect intersect(const Rect& a, const Rect& b) {
   return Rect{intersect(a.r, b.r), intersect(a.c, b.c)};
 }
+
+/// One rectangle of a layout: its owner and its index in the owner's list.
+struct RectRef {
+  int rank = 0;
+  int idx = 0;
+
+  friend auto operator<=>(const RectRef&, const RectRef&) = default;
+};
 
 /// Ownership map of a (rows x cols) global matrix over `nranks` ranks.
 class BlockLayout {
@@ -68,6 +81,14 @@ class BlockLayout {
   /// Appends a rectangle to `rank`'s ownership list.
   void add_rect(int rank, const Rect& rect);
 
+  /// Appends to `out`, in no particular order, every rectangle that meets
+  /// `q`. The first query builds an index of the rectangles, cut into slabs
+  /// along rows or columns (whichever stores fewer entries); copies of the
+  /// layout made after that share it, and concurrent queries are safe. A
+  /// query costs O(log R) per slab it crosses plus O(1) per rectangle it
+  /// meets. Requires disjoint rectangles, like redistribution does.
+  void overlapping(const Rect& q, std::vector<RectRef>& out) const;
+
   const std::vector<Rect>& rects_of(int rank) const {
     return rects_[static_cast<size_t>(rank)];
   }
@@ -83,11 +104,36 @@ class BlockLayout {
   /// rect area) — meant for tests and debug assertions.
   bool covers_exactly() const;
 
-  friend bool operator==(const BlockLayout&, const BlockLayout&) = default;
+  friend bool operator==(const BlockLayout& a, const BlockLayout& b) {
+    return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.rects_ == b.rects_;
+  }
 
  private:
+  struct OverlapIndex;
+  const OverlapIndex& index() const;
+
   i64 rows_ = 0, cols_ = 0;
   std::vector<std::vector<Rect>> rects_;  ///< per-rank ownership
+  LazyShared<OverlapIndex> index_;        ///< built by the first query
+};
+
+/// N layouts a plan derives from its shape (its library-native A, B and C
+/// layouts, say): built together on first use and shared by every copy of
+/// the plan, so the ranks that execute a plan never build or copy a P-rank
+/// layout of their own.
+template <size_t N>
+class PlanLayouts {
+ public:
+  using Set = std::array<BlockLayout, N>;
+
+  template <typename Build>
+  const Set& get(Build&& build) const {
+    return cell_->get(std::forward<Build>(build));
+  }
+
+ private:
+  std::shared_ptr<LazyShared<Set>> cell_ =
+      std::make_shared<LazyShared<Set>>();
 };
 
 }  // namespace ca3dmm

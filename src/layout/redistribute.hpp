@@ -11,6 +11,11 @@
 // layout information, so no plan metadata is exchanged: for source rank s and
 // destination rank d, segments are ordered by (source rect index, destination
 // rect index) and elements row-major in *source* coordinates.
+//
+// Host cost follows the traffic, not P^2: a rank finds its segments with
+// overlap queries on the other layout and hands only its nonzero blocks to
+// the sparse Comm::alltoallv, so a redistribution costs O(P + overlaps) per
+// rank. The virtual-time charge is the dense alltoallv's either way.
 #pragma once
 
 #include <vector>
@@ -19,6 +24,26 @@
 #include "simmpi/comm.hpp"
 
 namespace ca3dmm {
+
+/// One piece of a redistribution: the overlap, in source coordinates, of
+/// source rect `si` and destination rect `di` of a (source, destination)
+/// rank pair; `peer` is the other rank of the pair.
+struct RedistSegment {
+  int peer = 0;
+  int si = 0, di = 0;
+  Rect r;
+
+  friend bool operator==(const RedistSegment&, const RedistSegment&) = default;
+};
+
+/// The segments `rank` sends (`sending`: peer = destination) or receives
+/// (peer = source), in the canonical (peer, si, di) order. Each rect of
+/// `rank` is one BlockLayout::overlapping query against the other layout,
+/// so the cost follows the rank's overlaps, not the number of ranks.
+std::vector<RedistSegment> redistribution_segments(const BlockLayout& src,
+                                                   const BlockLayout& dst,
+                                                   bool transpose, int rank,
+                                                   bool sending);
 
 /// Redistributes `src_local` (this rank's data under `src`) into `dst_local`
 /// (sized dst.local_size(rank)) under `dst`.
@@ -45,6 +70,7 @@ struct RedistVolume {
   std::vector<i64> send_staging_bytes;  ///< per rank, self included
   std::vector<i64> recv_staging_bytes;  ///< per rank, self included
 };
+/// Walks every rank's send segments: O(P + overlaps), no scan over pairs.
 RedistVolume redistribution_volume(const BlockLayout& src,
                                    const BlockLayout& dst, bool transpose,
                                    i64 esize);

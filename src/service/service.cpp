@@ -139,9 +139,9 @@ double PgemmService::dispatch(const ServiceRequest& r, double* predicted_out) {
 
   const double t0 = world_.now();
   const Ca3dmmPlan& plan = engine_.plan_for(r.m, r.n, r.k, r.opt);
-  const BlockLayout a_nat = plan.a_native();
-  const BlockLayout b_nat = plan.b_native();
-  const BlockLayout c_nat = plan.c_native();
+  const BlockLayout& a_nat = plan.a_native();
+  const BlockLayout& b_nat = plan.b_native();
+  const BlockLayout& c_nat = plan.c_native();
   const int me = world_.rank();
   std::vector<double> a, b;
   fill_local(a_nat, me, r.seed_a, a);

@@ -419,6 +419,7 @@ void Cluster::run_fibers(const std::function<void(Comm&)>& rank_main,
     fiber_sched_ = nullptr;
   }
   sched.shutdown();
+  fiber_workers_used_ = sched.workers_started();
 }
 
 const RankStats& Cluster::stats(int rank) const {

@@ -309,9 +309,12 @@ class Cluster {
   void set_fiber_stack_bytes(std::size_t bytes) { fiber_stack_bytes_ = bytes; }
 
   /// Worker threads for the fiber backend; 0 (default) picks
-  /// min(hardware_concurrency, nranks). The pool can still grow at runtime
-  /// when workers get stuck in fibers that block in the OS.
+  /// min(hardware_concurrency, nranks). The pool grows at runtime only when
+  /// every worker is stuck in a fiber that blocks in the OS (no dispatch and
+  /// no worker CPU time across two samples), never for fibers that compute.
   void set_fiber_workers(int n) { fiber_workers_ = n; }
+  /// Worker threads the last fiber-backend run() started, growth included.
+  int fiber_workers_used() const { return fiber_workers_used_; }
 
   /// Stats of one rank after run().
   const RankStats& stats(int rank) const;
@@ -498,6 +501,7 @@ class Cluster {
   Backend backend_;
   std::size_t fiber_stack_bytes_ = 0;  ///< 0 = default (1 MiB or env)
   int fiber_workers_ = 0;              ///< 0 = auto
+  int fiber_workers_used_ = 0;
   /// Live scheduler while a fiber run() is in flight, else null. Read by
   /// wakers and the watchdog under mu_ (set before the watchdog starts,
   /// cleared after it is joined).

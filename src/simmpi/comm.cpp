@@ -113,27 +113,7 @@ std::string validate_collective(const CommState& st, CommState::Op op) {
                            "rank %d", j);
       }
       break;
-    case CommState::Op::kAlltoallv:
-      for (int j = 0; j < p; ++j) {
-        const auto& sj = st.slots[static_cast<size_t>(j)];
-        for (const std::vector<i64>* v : {sj.v0, sj.v1, sj.v2, sj.v3})
-          if (v == nullptr || static_cast<int>(v->size()) != p)
-            return strprintf("alltoallv: rank %d passed a counts/displs "
-                             "vector of the wrong size", j);
-      }
-      for (int src = 0; src < p; ++src)
-        for (int dst = 0; dst < p; ++dst) {
-          const i64 sent = (*st.slots[static_cast<size_t>(src)].v0)
-              [static_cast<size_t>(dst)];
-          const i64 expected = (*st.slots[static_cast<size_t>(dst)].v2)
-              [static_cast<size_t>(src)];
-          if (sent != expected)
-            return strprintf("alltoallv count mismatch: rank %d sends %lld "
-                             "bytes to rank %d, which expects %lld", src,
-                             static_cast<long long>(sent), dst,
-                             static_cast<long long>(expected));
-        }
-      break;
+    case CommState::Op::kAlltoallv:  // matched on every call (perform)
     case CommState::Op::kBarrier:
     case CommState::Op::kSplit:
     case CommState::Op::kNone:
@@ -773,55 +753,76 @@ void Comm::allreduce_sum(const void* sbuf, void* rbuf, i64 count, Dtype dtype) {
       NoFinish{});
 }
 
-void Comm::alltoallv_bytes(const void* sbuf, const std::vector<i64>& scounts,
-                           const std::vector<i64>& sdispls, void* rbuf,
-                           const std::vector<i64>& rcounts,
-                           const std::vector<i64>& rdispls) {
+void Comm::alltoallv(const void* sbuf, const std::vector<A2aBlock>& sends,
+                     void* rbuf, const std::vector<A2aBlock>& recvs) {
   const int p = size();
-  CA_REQUIRE(static_cast<int>(scounts.size()) == p &&
-                 static_cast<int>(sdispls.size()) == p &&
-                 static_cast<int>(rcounts.size()) == p &&
-                 static_cast<int>(rdispls.size()) == p,
-             "alltoallv counts/displs vectors must have %d entries", p);
+  for (const std::vector<A2aBlock>* list : {&sends, &recvs})
+    for (size_t t = 0; t < list->size(); ++t) {
+      const A2aBlock& b = (*list)[t];
+      CA_REQUIRE(b.peer >= 0 && b.peer < p && b.bytes > 0 && b.displ >= 0 &&
+                     (t == 0 || (*list)[t - 1].peer < b.peer),
+                 "alltoallv: block %zu (peer %d, %lld bytes) is not a "
+                 "nonzero block in ascending peer order in [0,%d)",
+                 t, b.peer, static_cast<long long>(b.bytes), p);
+    }
   CollIo io;
-  for (int j = 0; j < p; ++j) {
-    if (j == my_index_) continue;  // self-copies are not network traffic
-    io.out += static_cast<double>(scounts[static_cast<size_t>(j)]);
-    io.in += static_cast<double>(rcounts[static_cast<size_t>(j)]);
-  }
+  for (const A2aBlock& b : sends)
+    if (b.peer != my_index_)  // self-copies are not network traffic
+      io.out += static_cast<double>(b.bytes);
+  for (const A2aBlock& b : recvs)
+    if (b.peer != my_index_) io.in += static_cast<double>(b.bytes);
+  std::vector<i64> recv_src_displ(recvs.size(), 0);
   run_collective(
       *state_, my_index_, CommState::Op::kAlltoallv, io,
       [&](CommState::Slot& s) {
         s.sbuf = sbuf;
         s.rbuf = rbuf;
-        s.v0 = &scounts;
-        s.v1 = &sdispls;
-        s.v2 = &rcounts;
-        s.v3 = &rdispls;
+        s.sends = &sends;
+        s.recvs = &recvs;
+        s.recv_src_displ = recv_src_displ.data();
       },
       [&](CommState& st) {
-        // Cross-check the full exchange matrix before any data movement so
-        // a count mismatch never corrupts peer buffers.
-        for (int src = 0; src < p; ++src) {
-          const auto& ss = st.slots[static_cast<size_t>(src)];
-          for (int dst = 0; dst < p; ++dst) {
-            const auto& sd = st.slots[static_cast<size_t>(dst)];
-            CA_REQUIRE((*ss.v0)[static_cast<size_t>(dst)] ==
-                           (*sd.v2)[static_cast<size_t>(src)],
-                       "alltoallv count mismatch %d->%d", src, dst);
+        // Match every send block with its receive block before any data
+        // moves, so a count mismatch never corrupts peer buffers. Sources
+        // are visited in ascending order, so each destination's receive
+        // list is consumed front to back through one cursor.
+        std::vector<size_t> cursor(static_cast<size_t>(p), 0);
+        auto unmatched_recv = [&](int dst, const A2aBlock& r) {
+          return strprintf("alltoallv count mismatch: rank %d sends 0 bytes "
+                           "to rank %d, which expects %lld", r.peer, dst,
+                           static_cast<long long>(r.bytes));
+        };
+        for (int src = 0; src < p; ++src)
+          for (const A2aBlock& b : *st.slots[static_cast<size_t>(src)].sends) {
+            auto& sd = st.slots[static_cast<size_t>(b.peer)];
+            size_t& c = cursor[static_cast<size_t>(b.peer)];
+            const auto& rl = *sd.recvs;
+            if (c < rl.size() && rl[c].peer < src)
+              throw Error(unmatched_recv(b.peer, rl[c]));
+            const i64 expected =
+                c < rl.size() && rl[c].peer == src ? rl[c].bytes : 0;
+            if (expected != b.bytes)
+              throw Error(strprintf(
+                  "alltoallv count mismatch: rank %d sends %lld bytes to "
+                  "rank %d, which expects %lld", src,
+                  static_cast<long long>(b.bytes), b.peer,
+                  static_cast<long long>(expected)));
+            sd.recv_src_displ[c++] = b.displ;
           }
+        for (int dst = 0; dst < p; ++dst) {
+          const auto& rl = *st.slots[static_cast<size_t>(dst)].recvs;
+          const size_t c = cursor[static_cast<size_t>(dst)];
+          if (c < rl.size()) throw Error(unmatched_recv(dst, rl[c]));
         }
         double max_bytes = 0;
         double off_self = 0;  // aggregate bytes that leave their source rank
         for (int src = 0; src < p; ++src) {
           const auto& ss = st.slots[static_cast<size_t>(src)];
           i64 sent = 0, recvd = 0;
-          for (int dst = 0; dst < p; ++dst) {
-            if (dst != src) {  // self-copies are not network traffic
-              sent += (*ss.v0)[static_cast<size_t>(dst)];
-              recvd += (*ss.v2)[static_cast<size_t>(dst)];
-            }
-          }
+          for (const A2aBlock& b : *ss.sends)  // self-copies: no traffic
+            if (b.peer != src) sent += b.bytes;
+          for (const A2aBlock& b : *ss.recvs)
+            if (b.peer != src) recvd += b.bytes;
           off_self += static_cast<double>(sent);
           max_bytes = std::max(max_bytes,
                                static_cast<double>(std::max(sent, recvd)));
@@ -832,21 +833,37 @@ void Comm::alltoallv_bytes(const void* sbuf, const std::vector<i64>& scounts,
         c.inter_bytes = off_self * group_inter_frac(st.prof);
         return c;
       },
-      // Shard d fills destination d's receive buffer from every source.
+      // Shard d fills destination d's receive buffer from its sources.
       [&](CommState& st, int d) {
         auto& sd = st.slots[static_cast<size_t>(d)];
-        for (int src = 0; src < p; ++src) {
-          const auto& ss = st.slots[static_cast<size_t>(src)];
-          const i64 n = (*ss.v0)[static_cast<size_t>(d)];
-          if (n > 0)
-            std::memcpy(static_cast<char*>(sd.rbuf) +
-                            (*sd.v3)[static_cast<size_t>(src)],
-                        static_cast<const char*>(ss.sbuf) +
-                            (*ss.v1)[static_cast<size_t>(d)],
-                        static_cast<size_t>(n));
-        }
+        const auto& rl = *sd.recvs;
+        for (size_t t = 0; t < rl.size(); ++t)
+          std::memcpy(static_cast<char*>(sd.rbuf) + rl[t].displ,
+                      static_cast<const char*>(
+                          st.slots[static_cast<size_t>(rl[t].peer)].sbuf) +
+                          sd.recv_src_displ[t],
+                      static_cast<size_t>(rl[t].bytes));
       },
       NoFinish{});
+}
+
+void Comm::alltoallv_bytes(const void* sbuf, const std::vector<i64>& scounts,
+                           const std::vector<i64>& sdispls, void* rbuf,
+                           const std::vector<i64>& rcounts,
+                           const std::vector<i64>& rdispls) {
+  const int p = size();
+  CA_REQUIRE(static_cast<int>(scounts.size()) == p &&
+                 static_cast<int>(sdispls.size()) == p &&
+                 static_cast<int>(rcounts.size()) == p &&
+                 static_cast<int>(rdispls.size()) == p,
+             "alltoallv counts/displs vectors must have %d entries", p);
+  std::vector<A2aBlock> sends, recvs;
+  for (int j = 0; j < p; ++j) {
+    const size_t u = static_cast<size_t>(j);
+    if (scounts[u] != 0) sends.push_back(A2aBlock{j, scounts[u], sdispls[u]});
+    if (rcounts[u] != 0) recvs.push_back(A2aBlock{j, rcounts[u], rdispls[u]});
+  }
+  alltoallv(sbuf, sends, rbuf, recvs);
 }
 
 Comm Comm::split(int color, int key) const {

@@ -32,6 +32,15 @@ constexpr Dtype dtype_of<float>() { return Dtype::kF32; }
 template <>
 constexpr Dtype dtype_of<double>() { return Dtype::kF64; }
 
+/// One nonzero block of a sparse alltoallv: `bytes` (> 0) bytes to (in a
+/// send list) or from (in a receive list) group rank `peer`, at byte offset
+/// `displ` of the send or receive buffer.
+struct A2aBlock {
+  int peer = 0;
+  i64 bytes = 0;
+  i64 displ = 0;
+};
+
 class Comm {
  public:
   Comm() = default;
@@ -106,7 +115,16 @@ class Comm {
                           const std::vector<i64>& counts, Dtype dtype,
                           bool custom_tree = false);
   void allreduce_sum(const void* sbuf, void* rbuf, i64 count, Dtype dtype);
-  /// Personalized all-to-all, byte counts/displacements per peer.
+  /// Personalized all-to-all over lists of the nonzero blocks only, each in
+  /// strictly ascending peer order. Every send block must meet a receive
+  /// block of the same size on its peer and vice versa; a mismatch raises
+  /// on every member before any data moves. Host cost is O(p + blocks);
+  /// the virtual-time charge is the dense alltoallv's, alpha*(p-1) plus the
+  /// largest off-rank volume.
+  void alltoallv(const void* sbuf, const std::vector<A2aBlock>& sends,
+                 void* rbuf, const std::vector<A2aBlock>& recvs);
+  /// MPI_Alltoallv form: byte counts/displacements for every peer. Zero
+  /// counts are dropped and the rest forwarded to alltoallv().
   void alltoallv_bytes(const void* sbuf, const std::vector<i64>& scounts,
                        const std::vector<i64>& sdispls, void* rbuf,
                        const std::vector<i64>& rcounts,

@@ -115,9 +115,12 @@ struct CommState {
     i64 n0 = 0;
     int i0 = 0, i1 = 0;
     const std::vector<i64>* v0 = nullptr;
-    const std::vector<i64>* v1 = nullptr;
-    const std::vector<i64>* v2 = nullptr;
-    const std::vector<i64>* v3 = nullptr;
+    /// alltoallv: the member's nonzero send and receive blocks, and (one
+    /// entry per receive block) the sender's displacement of that block,
+    /// filled in when the last arriver matches the lists.
+    const std::vector<A2aBlock>* sends = nullptr;
+    const std::vector<A2aBlock>* recvs = nullptr;
+    i64* recv_src_displ = nullptr;
     double t_entry = 0;
     Dtype dt = Dtype::kF64;
   };

@@ -1,6 +1,8 @@
 #include "simmpi/fiber.hpp"
 
+#include <pthread.h>
 #include <sys/mman.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -310,6 +312,28 @@ void FiberScheduler::start() {
 
 void FiberScheduler::spawn_worker_locked() {
   workers_.emplace_back([this] { worker_main(); });
+  // A worker without a CPU clock counts as never busy, which only keeps the
+  // growth rule's blocked-in-the-OS side.
+  clockid_t clock{};
+  if (pthread_getcpuclockid(workers_.back().native_handle(), &clock) == 0)
+    worker_clocks_.push_back(clock);
+}
+
+int FiberScheduler::workers_started() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return static_cast<int>(workers_.size());
+}
+
+std::int64_t FiberScheduler::worker_cpu_ns_locked() const {
+  // Workers exit only after stop_ is set under mu_, so with mu_ held and
+  // stop_ clear every clock still belongs to a live thread.
+  std::int64_t ns = 0;
+  for (clockid_t c : worker_clocks_) {
+    timespec ts{};
+    if (clock_gettime(c, &ts) == 0)
+      ns += static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+  }
+  return ns;
 }
 
 Fiber* FiberScheduler::pop_runnable_locked() {
@@ -418,23 +442,30 @@ bool FiberScheduler::idle() const {
 }
 
 void FiberScheduler::monitor_main() {
+  // Less worker CPU than this per sample counts as blocked, not computing.
+  constexpr std::int64_t kBusyNs = 1'000'000;
   std::unique_lock<std::mutex> lk(mu_);
   std::uint64_t last_dispatches = dispatches_;
+  std::int64_t last_cpu = worker_cpu_ns_locked();
   bool prev_stuck = false;
   while (!stop_) {
     monitor_cv_.wait_for(lk, std::chrono::milliseconds(10));
     if (stop_) break;
-    // Runnable fibers with no dispatch across two samples means every
-    // worker is wedged inside a fiber that blocked in the OS (mutex, join,
-    // sleep). Grow the pool so the runnable fibers make progress; idle
-    // extra workers are harmless and die at shutdown.
+    // Runnable fibers, no dispatch and no worker CPU time across two
+    // samples means every worker is wedged inside a fiber that blocked in
+    // the OS (mutex, join, sleep). Grow the pool so the runnable fibers make
+    // progress; idle extra workers are harmless and die at shutdown. A
+    // worker that computes is busy, not wedged: it comes back for the
+    // runnable fibers, and growing would only exceed set_fiber_workers.
+    const std::int64_t cpu = worker_cpu_ns_locked();
     const bool stuck = !runnable_.empty() && dispatches_ == last_dispatches &&
-                       static_cast<int>(workers_.size()) >= running_;
+                       cpu - last_cpu < kBusyNs;
     if (stuck && prev_stuck &&
         static_cast<int>(workers_.size()) < max_workers_)
       spawn_worker_locked();
     prev_stuck = stuck;
     last_dispatches = dispatches_;
+    last_cpu = cpu;
   }
 }
 

@@ -31,9 +31,11 @@
 // restored around every switch, so fibers migrate freely between workers.
 // A monitor thread grows the pool when every worker is stuck inside a
 // fiber that blocked in the OS (e.g. rank code join()ing helper threads)
-// while runnable fibers starve.
+// while runnable fibers starve; the workers' CPU clocks tell a blocked
+// worker from one that computes, which never grows the pool.
 #pragma once
 
+#include <time.h>
 #include <ucontext.h>
 
 // Context-switch mechanism. On x86-64 Linux the scheduler uses a hand-rolled
@@ -156,6 +158,8 @@ class FiberScheduler {
   bool idle() const;
 
   int nranks() const { return nranks_; }
+  /// Worker threads started so far (initial pool plus growth).
+  int workers_started() const;
 
  private:
   void worker_main();
@@ -163,6 +167,8 @@ class FiberScheduler {
   void switch_into(Fiber* f);
   void spawn_worker_locked();
   Fiber* pop_runnable_locked();
+  /// CPU time all workers have used so far, in nanoseconds.
+  std::int64_t worker_cpu_ns_locked() const;
 
   int nranks_;
   int initial_workers_;
@@ -177,6 +183,7 @@ class FiberScheduler {
   std::uint64_t dispatches_ = 0;  ///< growth monitor's progress signal
   bool stop_ = false;
   std::vector<std::thread> workers_;
+  std::vector<clockid_t> worker_clocks_;  ///< CPU clocks of the workers
   std::thread monitor_;
   std::condition_variable work_cv_;   ///< runnable pushed / stop
   std::condition_variable done_cv_;   ///< finished_ == nranks_

@@ -2,10 +2,13 @@
 // virtual times, per-phase stats, and trace critical paths bit-identical to
 // the thread backend), deadlock watchdog and fault injection on fibers,
 // the zero-copy posted-receive fast path, engine helper threads racing into
-// a fiber-hosted rank, and a many-rank smoke at P=512.
+// a fiber-hosted rank, worker-pool growth (only for workers blocked in the
+// OS, never for computing ones), and a many-rank smoke at P=512.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -382,6 +385,45 @@ TEST(FiberEngine, RacingSubmittersOnFiberRanks) {
                 << "rank " << me << " thread " << t;
     }
   });
+}
+
+TEST(FiberPool, FiberBlockedOnMutexCompletesWithOneWorker) {
+  // Rank 0 takes a mutex and parks in recv; rank 1 then blocks the only
+  // worker on that mutex in the OS. The pool must grow so rank 2 can run,
+  // wake rank 0, and let it release the mutex.
+  Cluster cl(3, Machine::unit_test());
+  cl.set_backend(Cluster::Backend::kFibers);
+  cl.set_fiber_workers(1);
+  std::mutex mu;
+  cl.run([&mu](Comm& c) {
+    double x = 1;
+    if (c.rank() == 0) {
+      std::lock_guard<std::mutex> lk(mu);
+      c.recv(&x, 1, 2, 0);
+    } else if (c.rank() == 1) {
+      std::lock_guard<std::mutex> lk(mu);
+    } else {
+      c.send(&x, 1, 0, 0);
+    }
+  });
+  EXPECT_GE(cl.fiber_workers_used(), 2);
+}
+
+TEST(FiberPool, ComputingFiberNeverGrowsPool) {
+  // Each rank computes for 100 ms without yielding while the other is
+  // runnable: no dispatch for many monitor samples, but the worker's CPU
+  // clock advances, so the pool stays at the one worker it was given.
+  Cluster cl(2, Machine::unit_test());
+  cl.set_backend(Cluster::Backend::kFibers);
+  cl.set_fiber_workers(1);
+  cl.run([](Comm& c) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+    volatile double sink = 0;
+    while (std::chrono::steady_clock::now() < until) sink = sink + 1;
+    c.barrier();
+  });
+  EXPECT_EQ(cl.fiber_workers_used(), 1);
 }
 
 TEST(FiberScale, ManyRanksOnSmallStacksSmoke) {

@@ -1,10 +1,14 @@
 // Redistribution engine: conversion between arbitrary layout pairs,
-// transpose-on-the-fly, idle ranks, and volume accounting.
+// transpose-on-the-fly, idle ranks, and volume accounting; the indexed
+// segment enumeration against a scan over all rank pairs; and a complexity
+// guard at P=2^17.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "baselines/cosma_like.hpp"
 #include "common/rng.hpp"
+#include "core/plan.hpp"
 #include "layout/redistribute.hpp"
 #include "linalg/matrix.hpp"
 #include "simmpi/cluster.hpp"
@@ -241,6 +245,138 @@ TEST(Redistribute, ExecutedMatchesVolumePredictionTranspose) {
   check_volume_prediction(BlockLayout::grid_2d(6, 10, 2, 2),
                           BlockLayout::grid_2d(10, 6, 2, 2), 4, true,
                           Machine::unit_test());
+}
+
+/// Oracle: the scan over all P x P rank pairs and every rect pair that
+/// redistribution ran before overlap queries replaced it.
+std::vector<RedistSegment> scan_segments(const BlockLayout& src,
+                                         const BlockLayout& dst, bool transpose,
+                                         int rank, bool sending) {
+  std::vector<RedistSegment> out;
+  for (int peer = 0; peer < src.nranks(); ++peer) {
+    const int s = sending ? rank : peer, d = sending ? peer : rank;
+    const auto& srects = src.rects_of(s);
+    const auto& drects = dst.rects_of(d);
+    for (size_t si = 0; si < srects.size(); ++si)
+      for (size_t di = 0; di < drects.size(); ++di) {
+        const Rect& dr = drects[di];
+        const Rect inter =
+            intersect(srects[si], transpose ? Rect{dr.c, dr.r} : dr);
+        if (!inter.empty())
+          out.push_back(RedistSegment{peer, static_cast<int>(si),
+                                      static_cast<int>(di), inter});
+      }
+  }
+  return out;
+}
+
+RedistVolume scan_volume(const BlockLayout& src, const BlockLayout& dst,
+                         bool transpose, i64 esize) {
+  const int P = src.nranks();
+  RedistVolume v;
+  for (auto* vec : {&v.send_bytes, &v.recv_bytes, &v.send_staging_bytes,
+                    &v.recv_staging_bytes})
+    vec->assign(static_cast<size_t>(P), 0);
+  for (int s = 0; s < P; ++s)
+    for (const RedistSegment& sg : scan_segments(src, dst, transpose, s, true)) {
+      const i64 bytes = sg.r.size() * esize;
+      v.send_staging_bytes[static_cast<size_t>(s)] += bytes;
+      v.recv_staging_bytes[static_cast<size_t>(sg.peer)] += bytes;
+      if (sg.peer == s) continue;
+      v.send_bytes[static_cast<size_t>(s)] += bytes;
+      v.recv_bytes[static_cast<size_t>(sg.peer)] += bytes;
+    }
+  for (int r = 0; r < P; ++r) {
+    v.max_send_bytes =
+        std::max(v.max_send_bytes, v.send_bytes[static_cast<size_t>(r)]);
+    v.max_recv_bytes =
+        std::max(v.max_recv_bytes, v.recv_bytes[static_cast<size_t>(r)]);
+  }
+  return v;
+}
+
+/// A random layout of a rows x cols matrix over P ranks: 1-D, 2-D in
+/// either rank order, block-cyclic, single-owner, or a CA3DMM / COSMA
+/// native layout (which leave ranks idle when the grid does not use all P).
+BlockLayout random_layout(Rng& rng, i64 rows, i64 cols, int P) {
+  std::vector<int> divs;
+  for (int d = 1; d <= P; ++d)
+    if (P % d == 0) divs.push_back(d);
+  const int pr = divs[static_cast<size_t>(
+      rng.uniform(0, static_cast<i64>(divs.size()) - 1))];
+  const i64 other = rng.uniform(1, 16);
+  switch (rng.uniform(0, 8)) {
+    case 0: return BlockLayout::row_1d(rows, cols, P);
+    case 1: return BlockLayout::col_1d(rows, cols, P);
+    case 2: return BlockLayout::grid_2d(rows, cols, pr, P / pr, false);
+    case 3: return BlockLayout::grid_2d(rows, cols, pr, P / pr, true);
+    case 4:
+      return BlockLayout::block_cyclic(rows, cols, pr, P / pr,
+                                       rng.uniform(1, 4), rng.uniform(1, 4));
+    case 5:
+      return BlockLayout::single(rows, cols,
+                                 static_cast<int>(rng.uniform(0, P - 1)), P);
+    case 6: return Ca3dmmPlan::make(rows, other, cols, P).a_native();
+    case 7: return Ca3dmmPlan::make(other, cols, rows, P).b_native();
+    default: return CosmaPlan::make(rows, cols, other, P).c_native();
+  }
+}
+
+TEST(RedistOracle, IndexedEnumerationMatchesPairScan) {
+  Rng rng(2026);
+  for (int iter = 0; iter < 60; ++iter) {
+    const int P = static_cast<int>(rng.uniform(1, 13));
+    const i64 m = rng.uniform(1, 24), n = rng.uniform(1, 24);
+    const bool transpose = rng.uniform(0, 2) == 0;
+    const BlockLayout src = random_layout(rng, m, n, P);
+    const BlockLayout dst =
+        transpose ? random_layout(rng, n, m, P) : random_layout(rng, m, n, P);
+    ASSERT_TRUE(src.covers_exactly());
+    ASSERT_TRUE(dst.covers_exactly());
+    SCOPED_TRACE(::testing::Message() << "iter " << iter << " P=" << P
+                                      << " transpose=" << transpose);
+    for (int r = 0; r < P; ++r)
+      for (bool sending : {true, false})
+        ASSERT_EQ(redistribution_segments(src, dst, transpose, r, sending),
+                  scan_segments(src, dst, transpose, r, sending))
+            << "rank " << r << (sending ? " sends" : " receives");
+    const RedistVolume got = redistribution_volume(src, dst, transpose, 8);
+    const RedistVolume want = scan_volume(src, dst, transpose, 8);
+    EXPECT_EQ(got.max_send_bytes, want.max_send_bytes);
+    EXPECT_EQ(got.max_recv_bytes, want.max_recv_bytes);
+    EXPECT_EQ(got.send_bytes, want.send_bytes);
+    EXPECT_EQ(got.recv_bytes, want.recv_bytes);
+    EXPECT_EQ(got.send_staging_bytes, want.send_staging_bytes);
+    EXPECT_EQ(got.recv_staging_bytes, want.recv_staging_bytes);
+    // Executed: the data lands, and every rank's bytes and vtime match the
+    // (oracle-checked) prediction.
+    roundtrip(src, dst, P, transpose);
+    check_volume_prediction(src, dst, P, transpose, Machine::unit_test());
+  }
+}
+
+TEST(RedistComplexity, VolumeAtP131072) {
+  // Row blocks onto a 2-column grid: O(P) overlapping rect pairs in all,
+  // where a scan over rank pairs would test 1.7e10 of them. Registered
+  // with a 10 s ctest timeout.
+  const int P = 1 << 17;
+  const i64 rows = 3 * static_cast<i64>(P) + 7, cols = 6;
+  const BlockLayout src = BlockLayout::row_1d(rows, cols, P);
+  const BlockLayout dst = BlockLayout::grid_2d(rows, cols, P / 2, 2);
+  const RedistVolume v = redistribution_volume(src, dst, false, 8);
+  i64 staged = 0, wire = 0;
+  for (int r = 0; r < P; ++r) {
+    staged += v.send_staging_bytes[static_cast<size_t>(r)];
+    wire += v.send_bytes[static_cast<size_t>(r)];
+  }
+  EXPECT_EQ(staged, rows * cols * 8);
+  EXPECT_GT(wire, 0);
+  EXPECT_LT(wire, staged);
+  // Rank 5 owns rows [20, 24) of the source; grid rows 2 and 3 are
+  // [14, 21) and [21, 28), split into two column halves each.
+  const auto segs = redistribution_segments(src, dst, false, 5, true);
+  ASSERT_EQ(segs.size(), 4u);
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(segs[static_cast<size_t>(t)].peer, 4 + t);
 }
 
 }  // namespace

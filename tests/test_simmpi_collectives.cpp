@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "simmpi/cluster.hpp"
@@ -136,6 +137,139 @@ TEST(Collectives, Alltoallv) {
     for (int s = 0; s < P; ++s)
       EXPECT_DOUBLE_EQ(rbuf[static_cast<size_t>(s)], 100.0 * s + me);
   });
+}
+
+/// Runs `body` and returns the error Cluster::run raised ("" if none).
+std::string run_error(Cluster& cl, const std::function<void(Comm&)>& body) {
+  try {
+    cl.run(body);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SparseAlltoallv, WrongCountRaisesBeforeDataMoves) {
+  Cluster cl(3, Machine::unit_test());
+  double got = -1;
+  const std::string msg = run_error(cl, [&](Comm& c) {
+    const double x = 1.0;
+    std::vector<A2aBlock> sends, recvs;
+    if (c.rank() == 0) sends.push_back({1, 8, 0});
+    if (c.rank() == 1) recvs.push_back({0, 16, 0});
+    double r[2] = {-1, -1};
+    c.alltoallv(&x, sends, r, recvs);
+    if (c.rank() == 1) got = r[0];
+  });
+  EXPECT_NE(msg.find("count mismatch"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("3 ranks failed"), std::string::npos) << msg;
+  EXPECT_EQ(got, -1);
+}
+
+TEST(SparseAlltoallv, SendFacingZeroReceiveRaises) {
+  Cluster cl(3, Machine::unit_test());
+  const std::string msg = run_error(cl, [](Comm& c) {
+    const double x = 1.0;
+    std::vector<A2aBlock> sends;
+    if (c.rank() == 2) sends.push_back({0, 8, 0});
+    double r = -1;
+    c.alltoallv(&x, sends, &r, {});
+  });
+  EXPECT_NE(msg.find("rank 2 sends 8 bytes to rank 0, which expects 0"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(SparseAlltoallv, ReceiveWithoutMatchingSendRaises) {
+  Cluster cl(3, Machine::unit_test());
+  const std::string msg = run_error(cl, [](Comm& c) {
+    const double x = 1.0;
+    std::vector<A2aBlock> sends, recvs;
+    // Rank 0 sends to rank 2, which also expects a block from rank 1.
+    if (c.rank() == 0) sends.push_back({2, 8, 0});
+    if (c.rank() == 2) recvs = {{0, 8, 0}, {1, 8, 8}};
+    double r[2] = {-1, -1};
+    c.alltoallv(&x, sends, r, recvs);
+  });
+  EXPECT_NE(msg.find("rank 1 sends 0 bytes to rank 2, which expects 8"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(SparseAlltoallv, DenseAdapterMatchesSparseCallExactly) {
+  // A seeded sparse exchange on two nodes, once through the dense counts
+  // adapter and once as block lists: vtimes, per-rank byte accounting and
+  // buffers must agree bit for bit.
+  const int P = 6;
+  Machine mach = Machine::phoenix_mpi();
+  mach.ranks_per_node = 3;
+  mach.cores_per_node = 3;
+  // counts[s][d] in doubles; about half the pairs exchange nothing.
+  std::vector<std::vector<i64>> counts(P, std::vector<i64>(P, 0));
+  std::uint64_t z = 12345;
+  for (int s = 0; s < P; ++s)
+    for (int d = 0; d < P; ++d) {
+      z = z * 6364136223846793005ULL + 1442695040888963407ULL;
+      if ((z >> 33) % 2 == 0) counts[s][d] = static_cast<i64>(1 + (z >> 40) % 5);
+    }
+  auto run = [&](bool dense, std::vector<std::vector<double>>& out) {
+    Cluster cl(P, mach);
+    out.assign(P, {});
+    cl.run([&](Comm& c) {
+      const int me = c.rank();
+      std::vector<i64> sc(P), sd(P), rc(P), rd(P);
+      i64 so = 0, ro = 0;
+      for (int j = 0; j < P; ++j) {
+        sc[j] = counts[me][j] * 8;
+        sd[j] = so;
+        so += sc[j];
+        rc[j] = counts[j][me] * 8;
+        rd[j] = ro;
+        ro += rc[j];
+      }
+      std::vector<double> sbuf(static_cast<size_t>(so / 8));
+      for (size_t t = 0; t < sbuf.size(); ++t) sbuf[t] = 1000.0 * me + t;
+      auto& rbuf = out[static_cast<size_t>(me)];
+      rbuf.assign(static_cast<size_t>(ro / 8), -1.0);
+      if (dense) {
+        c.alltoallv_bytes(sbuf.data(), sc, sd, rbuf.data(), rc, rd);
+      } else {
+        std::vector<A2aBlock> sends, recvs;
+        for (int j = 0; j < P; ++j) {
+          if (sc[j] > 0) sends.push_back({j, sc[j], sd[j]});
+          if (rc[j] > 0) recvs.push_back({j, rc[j], rd[j]});
+        }
+        c.alltoallv(sbuf.data(), sends, rbuf.data(), recvs);
+      }
+    });
+    std::vector<RankStats> stats;
+    for (int r = 0; r < P; ++r) stats.push_back(cl.stats(r));
+    return stats;
+  };
+  std::vector<std::vector<double>> dense_out, sparse_out;
+  const auto dense = run(true, dense_out);
+  const auto sparse = run(false, sparse_out);
+  for (int r = 0; r < P; ++r) {
+    const auto& a = dense[static_cast<size_t>(r)];
+    const auto& b = sparse[static_cast<size_t>(r)];
+    EXPECT_EQ(a.vtime, b.vtime) << "rank " << r;
+    EXPECT_GT(a.vtime, 0) << "rank " << r;
+    EXPECT_EQ(a.total_bytes_sent(), b.total_bytes_sent()) << "rank " << r;
+    EXPECT_EQ(a.bytes_recvd(Phase::kMisc), b.bytes_recvd(Phase::kMisc));
+    EXPECT_EQ(a.total_inter_bytes(), b.total_inter_bytes()) << "rank " << r;
+    EXPECT_EQ(dense_out[static_cast<size_t>(r)],
+              sparse_out[static_cast<size_t>(r)]);
+  }
+  // And the buffers hold what was sent.
+  for (int d = 0; d < P; ++d) {
+    size_t pos = 0;
+    for (int s = 0; s < P; ++s) {
+      i64 off = 0;
+      for (int j = 0; j < d; ++j) off += counts[s][j];
+      for (i64 t = 0; t < counts[s][d]; ++t)
+        EXPECT_EQ(sparse_out[d][pos++], 1000.0 * s + static_cast<double>(off + t));
+    }
+  }
 }
 
 TEST(Collectives, SplitColorsAndKeys) {
