@@ -23,6 +23,9 @@ void assemble_a_block(const T* gathered, i64 mb,
   for (i64 sz : sub_sizes) kb += sz;
   i64 src_off = 0, col_off = 0;
   for (i64 sz : sub_sizes) {
+    // An empty slice may come with no buffer at all (memcpy from null is
+    // undefined even for zero bytes).
+    if (sz == 0) continue;
     for (i64 r = 0; r < mb; ++r)
       std::memcpy(block + r * kb + col_off, gathered + src_off + r * sz,
                   static_cast<size_t>(sz) * sizeof(T));

@@ -1,8 +1,15 @@
 // Blocked GEMM kernel vs the triple-loop reference, across odd shapes,
-// transposes, alpha values, and accumulation.
+// transposes, alpha values, and accumulation; and bit for bit against a
+// scalar oracle of the bit-order contract in gemm.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "linalg/gemm.hpp"
@@ -45,6 +52,108 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 5, 33, 129),
                        ::testing::Values(1, 7, 64, 260),
                        ::testing::Bool(), ::testing::Bool()));
+
+/// The bit-order contract of gemm.hpp, one scalar operation at a time. This
+/// file is built with -ffp-contract=off, so the oracle never fuses either.
+template <typename T>
+void gemm_oracle(bool ta, bool tb, i64 m, i64 n, i64 k, T alpha, const T* a,
+                 i64 lda, const T* b, i64 ldb, T* c, i64 ldc) {
+  for (i64 i = 0; i < m; ++i)
+    for (i64 j = 0; j < n; ++j)
+      for (i64 p0 = 0; p0 < k; p0 += kGemmKBlock) {
+        T acc = 0;
+        for (i64 p = p0; p < std::min(k, p0 + kGemmKBlock); ++p)
+          acc += (ta ? a[p * lda + i] : a[i * lda + p]) *
+                 (tb ? b[j * ldb + p] : b[p * ldb + j]);
+        c[i * ldc + j] += alpha * acc;
+      }
+}
+
+/// gemm_blocked, and each variant this CPU can run, on strided operands
+/// (every leading dimension wider than its row) equals the oracle byte for
+/// byte, padding included.
+template <typename T>
+void expect_bit_identical(i64 m, i64 n, i64 k, bool ta, bool tb) {
+  const i64 lda = (ta ? m : k) + 3, ldb = (tb ? k : n) + 5, ldc = n + 2;
+  std::vector<T> a(static_cast<size_t>((ta ? k : m) * lda)),
+      b(static_cast<size_t>((tb ? n : k) * ldb)),
+      c0(static_cast<size_t>(m * ldc));
+  fill(a, 21);
+  fill(b, 22);
+  fill(c0, 23);
+  const T alpha = T(1.5);
+  std::vector<T> c_oracle = c0;
+  gemm_oracle<T>(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb,
+                 c_oracle.data(), ldc);
+  const auto expect_oracle = [&](const std::vector<T>& c, const char* isa) {
+    EXPECT_EQ(std::memcmp(c_oracle.data(), c.data(), c.size() * sizeof(T)), 0)
+        << "sizeof(T)=" << sizeof(T) << " m=" << m << " n=" << n
+        << " k=" << k << " ta=" << ta << " tb=" << tb << " isa=" << isa;
+  };
+  std::vector<T> c = c0;
+  gemm_blocked<T>(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb,
+                  c.data(), ldc);
+  expect_oracle(c, gemm_kernel_isa());
+  for (const char* isa : {"avx512f", "avx2", "generic"}) {
+    c = c0;
+    if (gemm_blocked_on<T>(isa, ta, tb, m, n, k, alpha, a.data(), lda,
+                           b.data(), ldb, c.data(), ldc))
+      expect_oracle(c, isa);
+  }
+}
+
+// m and n sit below, at and above every variant's micro-tile (4, 6 or 8 rows;
+// 8 to 48 columns), plus one shape past the 128 x 512 cache blocks; k covers
+// one partial, one exact and several k blocks.
+using BitShape = std::tuple<std::pair<int, int>, int, bool, bool>;
+
+class GemmBitOrder : public ::testing::TestWithParam<BitShape> {};
+
+TEST_P(GemmBitOrder, MatchesScalarOracleBitForBit) {
+  const auto [mn, k, ta, tb] = GetParam();
+  expect_bit_identical<double>(mn.first, mn.second, k, ta, tb);
+  expect_bit_identical<float>(mn.first, mn.second, k, ta, tb);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmBitOrder,
+    ::testing::Combine(::testing::Values(std::pair{1, 1}, std::pair{3, 7},
+                                         std::pair{4, 8}, std::pair{6, 16},
+                                         std::pair{8, 24}, std::pair{8, 48},
+                                         std::pair{9, 25}, std::pair{17, 49},
+                                         std::pair{13, 97},
+                                         std::pair{133, 530}),
+                       ::testing::Values(1, 255, 256, 600), ::testing::Bool(),
+                       ::testing::Bool()));
+
+// Threads making their first gemm_blocked calls at once: the one-time ISA
+// dispatch and the thread-local packing scratch must not race (the TSan CI
+// job runs this test), and every thread gets the oracle's bits. Defined
+// before every other Gemm test, so these are the process's first calls.
+TEST(Gemm, ConcurrentFirstCallsAreBitIdentical) {
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([] {
+      expect_bit_identical<double>(37, 61, 300, false, true);
+      expect_bit_identical<float>(37, 61, 300, true, false);
+    });
+  for (std::thread& th : threads) th.join();
+}
+
+TEST(Gemm, KernelIsaIsNamed) {
+  const std::string isa = gemm_kernel_isa();
+  std::printf("gemm_blocked dispatches to: %s\n", isa.c_str());
+  EXPECT_TRUE(isa == "avx512f" || isa == "avx2" || isa == "generic") << isa;
+  double a = 2, b = 3, c = 1;
+  EXPECT_TRUE(gemm_blocked_on<double>(isa.c_str(), false, false, 1, 1, 1, 1.0,
+                                      &a, 1, &b, 1, &c, 1));
+  EXPECT_TRUE(gemm_blocked_on<double>("generic", false, false, 1, 1, 1, 1.0,
+                                      &a, 1, &b, 1, &c, 1));
+  EXPECT_EQ(c, 13.0);
+  EXPECT_FALSE(gemm_blocked_on<double>("sse9", false, false, 1, 1, 1, 1.0, &a,
+                                       1, &b, 1, &c, 1));
+  EXPECT_EQ(c, 13.0);
+}
 
 TEST(Gemm, FloatKernel) {
   const int m = 31, n = 29, k = 41;

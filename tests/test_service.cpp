@@ -148,13 +148,6 @@ ServiceReport run_on_cluster(int P, const ServiceConfig& cfg,
   return report;
 }
 
-i64 count_verdict(const ServiceReport& rep, Verdict v) {
-  return std::count_if(rep.records.begin(), rep.records.end(),
-                       [v](const service::RequestRecord& r) {
-                         return r.verdict == static_cast<int>(v);
-                       });
-}
-
 TEST(Service, EqualWeightTenantsShareWithinFivePercent) {
   ServiceConfig cfg;
   cfg.tenants = {TenantConfig{.name = "a"}, TenantConfig{.name = "b"}};
@@ -212,9 +205,11 @@ TEST(Service, MemQuotaBackpressureRejectsInsteadOfExceeding) {
   // The admission gauge never exceeded the contract.
   EXPECT_LE(rep.tenants[0].peak_outstanding_bytes,
             cfg.tenants[0].mem_quota_bytes);
-  for (const service::RequestRecord& r : rep.records)
-    if (r.verdict == static_cast<int>(Verdict::kRejectedMemQuota))
+  for (const service::RequestRecord& r : rep.records) {
+    if (r.verdict == static_cast<int>(Verdict::kRejectedMemQuota)) {
       EXPECT_GT(r.retry_after_s, 0);
+    }
+  }
 }
 
 TEST(Service, QueueBoundSheds) {
