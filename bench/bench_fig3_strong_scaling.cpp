@@ -25,8 +25,8 @@ using simmpi::Machine;
 /// nonzero exit.
 bool g_drift_failed = false;
 
-/// Real execution at the figure's two largest process counts, on the fiber
-/// backend — the whole point of fibers is that P=3072 ranks fit in one
+/// Real execution at the figure's two largest process counts, on rank
+/// fibers — the whole point of fibers is that P=3072 ranks fit in one
 /// address space on one box, so the strong-scaling figure's upper end can be
 /// *executed*, not just predicted. Shapes are miniature (960^3, evenly
 /// divisible by the paper's P=1536/3072 grids) so every rank is symmetric
@@ -58,7 +58,6 @@ void print_real_execution() {
     Workload w{960, 960, 960};
     w.force_grid = rc.grid;
     simmpi::Cluster cl(rc.P, mach);
-    cl.set_backend(simmpi::Cluster::Backend::kFibers);
     const auto t0 = std::chrono::steady_clock::now();
     const costmodel::DriftReport rep =
         costmodel::check_drift(Algo::kCa3dmm, w, cl);

@@ -91,6 +91,9 @@ void copy_block(const Matrix<T>& src, i64 sr, i64 sc, Matrix<T>& dst, i64 dr,
                 i64 dc, i64 r, i64 c) {
   CA_ASSERT(sr + r <= src.rows() && sc + c <= src.cols());
   CA_ASSERT(dr + r <= dst.rows() && dc + c <= dst.cols());
+  // An empty block copies nothing; indexing a zero-column matrix would bind
+  // a reference into its empty storage.
+  if (c == 0) return;
   for (i64 i = 0; i < r; ++i)
     std::memcpy(&dst(dr + i, dc), &src(sr + i, sc),
                 static_cast<size_t>(c) * sizeof(T));

@@ -271,10 +271,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
     } else {
       BlockedScope bs(st.blocked_counter(), ctx, coll_op_name(op), st.id,
                       st.arrived, -1);
-      st.coll_wait(lk, [&] {
-        st.note_check(ctx);
-        return st.generation != gen || st.aborted();
-      });
+      st.coll_wait(lk, [&] { return st.generation != gen || st.aborted(); });
       if (st.generation == gen) throw ClusterAborted{};
     }
     // Snapshot the completion state before releasing the lock. The fields
@@ -308,10 +305,7 @@ void run_collective(CommState& st, int me, CommState::Op op, CollIo io,
       st.cv().notify_all();
       st.wake_coll();
     } else {
-      st.coll_wait(lk, [&] {
-        st.note_check(ctx);
-        return st.dm_remaining == 0;
-      });
+      st.coll_wait(lk, [&] { return st.dm_remaining == 0; });
     }
     if (err.empty()) finish(st);
   }
@@ -1041,7 +1035,6 @@ void Comm::recv_impl(void* buf, i64 bytes, int src, int tag) {
     {
       BlockedScope bs(&cl->blocked_count_, ctx, "recv", state_->id, src, tag);
       cl->rank_wait(lk, detail::WaitKey::chan(key), [&] {
-        ctx->checked_gen = cl->progress_gen_;
         // A delivered zero-copy recv completes even when an abort raced in:
         // the payload is already in place and the exit time computed.
         if (posted.filled) return true;
@@ -1158,7 +1151,6 @@ void Comm::sendrecv_bytes(const void* sbuf, i64 sbytes, int dst, void* rbuf,
       BlockedScope bs(&cl->blocked_count_, ctx, "sendrecv-wait", state_->id,
                       dst, tag);
       cl->rank_wait(lk, detail::WaitKey::chan(skey), [&] {
-        ctx->checked_gen = cl->progress_gen_;
         return rec.consumed || cl->abort_requested_;
       });
     }

@@ -102,7 +102,7 @@ struct CommState {
 
   // --- data-movement completion barrier ---
   // The bulk memcpy/summation of a collective runs *outside* the rendezvous
-  // lock, sharded across the participating rank threads; these fields make
+  // lock, sharded across the participating ranks; these fields make
   // every member wait until all shards finished before returning (a member
   // that returned early could free buffers a peer's shard still touches).
   bool dm_ok = false;       ///< movement may run (no validation error)
@@ -145,9 +145,6 @@ struct CommState {
   void wake_coll() const { cluster->wake_key_locked(WaitKey::coll(id)); }
   bool aborted() const { return cluster->abort_requested_; }
   void bump_progress() const { ++cluster->progress_gen_; }
-  void note_check(RankCtx* ctx) const {
-    ctx->checked_gen = cluster->progress_gen_;
-  }
   int* blocked_counter() const { return &cluster->blocked_count_; }
   bool validation() const { return cluster->validate_; }
   void fault_point(RankCtx* ctx) const { cluster->fault_point(ctx); }

@@ -259,11 +259,15 @@ FiberScheduler::~FiberScheduler() {
   }
 }
 
-void FiberScheduler::spawn(int rank, std::function<void()> body) {
+void FiberScheduler::spawn(int rank, RankCtx* ctx,
+                           std::function<void()> body) {
   auto f = std::make_unique<Fiber>();
   f->rank = rank;
   f->sched = this;
   f->body = std::move(body);
+  // switch_into installs this view on first dispatch, so the body starts as
+  // the rank without ever writing the TLS itself (see swap_rank_tls).
+  f->tls_ctx = ctx;
 
   // Guard page below the stack: an overflow faults instead of silently
   // corrupting the neighbouring fiber. MAP_NORESERVE keeps thousands of

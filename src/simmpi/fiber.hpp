@@ -1,13 +1,13 @@
-// Fiber backend of the simulated cluster: ranks as stackful coroutines.
+// Scheduler of the simulated cluster: ranks as stackful coroutines.
 //
-// The thread backend maps each rank to a std::thread, which caps real runs
-// at a few hundred ranks per box. Here a rank is a stackful fiber with its
-// own small guard-paged stack, multiplexed over a worker pool of about
-// hardware_concurrency OS threads. Runnable fibers are dispatched lowest
-// virtual clock first, so the execution order tracks simulated time; the
-// cluster's state transitions are order-independent by construction, which
-// is what makes results, vtimes, and traces bit-identical to the thread
-// backend (docs/SIMMPI.md documents the determinism contract).
+// A thread per rank caps real runs at a few hundred ranks per box. Here a
+// rank is a stackful fiber with its own small guard-paged stack,
+// multiplexed over a worker pool of about hardware_concurrency OS threads.
+// Runnable fibers are dispatched lowest virtual clock first, so the
+// execution order tracks simulated time; the cluster's state transitions
+// are order-independent by construction, which is what makes results,
+// vtimes, and traces bit-identical whatever the number of workers
+// (docs/SIMMPI.md documents the determinism contract).
 //
 // Blocking: a fiber that would wait on the cluster condition variable
 // instead parks — it registers under a WaitKey, unlocks the cluster mutex,
@@ -110,8 +110,8 @@ struct Fiber {
 };
 
 /// The fiber the calling OS thread is currently running, or nullptr when
-/// called from a plain thread (thread backend, engine helper threads, the
-/// watchdog). This is what routes Cluster::rank_wait to park vs cv-wait.
+/// called from a plain thread (engine helper threads, the watchdog). This
+/// is what routes Cluster::rank_wait to park vs cv-wait.
 Fiber* current_fiber();
 
 /// Worker pool + runnable set. Wake-side bookkeeping (the WaitKey -> fiber
@@ -127,10 +127,10 @@ class FiberScheduler {
   FiberScheduler(const FiberScheduler&) = delete;
   FiberScheduler& operator=(const FiberScheduler&) = delete;
 
-  /// Creates the fiber for `rank` and enqueues it runnable. Call before
-  /// start() (fibers all start at virtual time 0, dispatched in rank
-  /// order).
-  void spawn(int rank, std::function<void()> body);
+  /// Creates the fiber for `rank` and enqueues it runnable, with `ctx` as
+  /// its initial rank-context TLS view. Call before start() (fibers all
+  /// start at virtual time 0, dispatched in rank order).
+  void spawn(int rank, RankCtx* ctx, std::function<void()> body);
 
   /// Launches the worker pool and the growth monitor.
   void start();
@@ -153,8 +153,8 @@ class FiberScheduler {
   void wake(Fiber* f);
 
   /// True when no fiber is runnable or running — with every live rank
-  /// blocked and no progress, that is the fiber backend's deadlock
-  /// criterion (parked fibers cannot self-resume).
+  /// blocked and no progress, that is the watchdog's deadlock criterion
+  /// (parked fibers cannot self-resume).
   bool idle() const;
 
   int nranks() const { return nranks_; }
