@@ -1,7 +1,7 @@
 // A value computed on first use and shared read-only from then on.
 //
 // Layout indexes and plan layouts are derived data that every simulated rank
-// of a run reads, concurrently across fiber workers and helper threads.
+// of a run reads, concurrently across fiber workers and host threads.
 // LazyShared builds the value once, under its mutex, on the first
 // get(); the others wait for it. Copies share whatever was built before the
 // copy was made.

@@ -57,9 +57,6 @@ PgemmEngine::PgemmEngine(Comm& world, EngineConfig cfg)
       pool_(cfg.pool_max_idle_bytes) {
   pool_.set_footprint_budget(cfg.pool_footprint_budget_bytes);
   CA_REQUIRE(world_.valid(), "PgemmEngine needs a valid communicator");
-  // Bind the engine mutex to the cluster so fiber callers park through the
-  // scheduler instead of blocking their worker thread (see CoopMutex).
-  mu_.bind(world_.cluster());
   CA_REQUIRE(cfg_.plan_cache_capacity >= 1,
              "plan_cache_capacity must be >= 1, got %zu",
              cfg_.plan_cache_capacity);
@@ -70,9 +67,16 @@ PgemmEngine::PgemmEngine(Comm& world, EngineConfig cfg)
       tuned_view_[e.key] = e;
 }
 
+void PgemmEngine::require_owner(const char* entry) const {
+  CA_REQUIRE(simmpi::current_ctx() == owner_ctx_,
+             "PgemmEngine::%s called from a thread that is not the engine's "
+             "rank: only the rank fiber that constructed an engine may "
+             "drive it",
+             entry);
+}
+
 std::vector<tuner::TuningKey> PgemmEngine::refresh_tuning() {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
-  simmpi::RankCtxScope adopt(owner_ctx_);
+  require_owner("refresh_tuning");
   std::vector<tuner::TuningKey> changed;
   if (!cfg_.tuning_db) return changed;
   // Rank 0's view of the DB is the one everybody adopts: serialize under
@@ -98,7 +102,7 @@ std::vector<tuner::TuningKey> PgemmEngine::refresh_tuning() {
   return changed;
 }
 
-const tuner::TuningEntry* PgemmEngine::tuned_entry_locked(
+const tuner::TuningEntry* PgemmEngine::tuned_entry(
     i64 m, i64 n, i64 k, const Ca3dmmOptions& opt) const {
   if (!cfg_.tuning_db) return nullptr;
   if (opt.force_grid || opt.coll || opt.use_summa) return nullptr;
@@ -110,8 +114,7 @@ const tuner::TuningEntry* PgemmEngine::tuned_entry_locked(
 
 std::optional<tuner::TunedConfig> PgemmEngine::tuned_for(
     i64 m, i64 n, i64 k, const Ca3dmmOptions& opt) const {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
-  const tuner::TuningEntry* e = tuned_entry_locked(m, n, k, opt);
+  const tuner::TuningEntry* e = tuned_entry(m, n, k, opt);
   if (!e) return std::nullopt;
   return e->config;
 }
@@ -139,7 +142,7 @@ PgemmEngine::Entry& PgemmEngine::lookup(const PlanKey& key) {
     const bool tunable =
         !key.opt.force_grid && !key.opt.coll && !key.opt.use_summa;
     const tuner::TuningEntry* te =
-        tuned_entry_locked(key.m, key.n, key.k, key.opt);
+        tuned_entry(key.m, key.n, key.k, key.opt);
     if (te) {
       build_opt.force_grid = te->config.grid;
       build_opt.coll = te->config.coll;
@@ -175,36 +178,30 @@ PgemmEngine::Entry& PgemmEngine::lookup(const PlanKey& key) {
 
 const Ca3dmmPlan& PgemmEngine::plan_for(i64 m, i64 n, i64 k,
                                         const Ca3dmmOptions& opt) {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
-  simmpi::RankCtxScope adopt(owner_ctx_);
+  require_owner("plan_for");
   return lookup(PlanKey{m, n, k, world_.size(), opt}).plan;
 }
 
 bool PgemmEngine::is_cached(i64 m, i64 n, i64 k,
                             const Ca3dmmOptions& opt) const {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
   return index_.count(PlanKey{m, n, k, world_.size(), opt}) != 0;
 }
 
 i64 PgemmEngine::trim_pool(i64 target_idle_bytes) {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
   return pool_.trim(target_idle_bytes);
 }
 
 EngineStats PgemmEngine::stats() const {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
   EngineStats s = stats_;
   s.pool = pool_.stats();
   return s;
 }
 
 size_t PgemmEngine::cached_plans() const {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
   return lru_.size();
 }
 
 void PgemmEngine::clear() {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
   lru_.clear();
   index_.clear();
   pool_.trim();
@@ -281,15 +278,13 @@ void PgemmEngine::execute(Entry& entry, const Request<T>& req) {
 
 template <typename T>
 void PgemmEngine::multiply(const Request<T>& req) {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
-  simmpi::RankCtxScope adopt(owner_ctx_);
+  require_owner("multiply");
   execute(lookup(key_of(req)), req);
 }
 
 template <typename T>
 void PgemmEngine::submit(const std::vector<Request<T>>& batch) {
-  std::lock_guard<simmpi::CoopMutex> lock(mu_);
-  simmpi::RankCtxScope adopt(owner_ctx_);
+  require_owner("submit");
   ++stats_.batches;
   // Group same-plan requests, preserving the order groups first appear in;
   // a group's requests then run back-to-back on one cached plan, so an

@@ -1,9 +1,8 @@
 #include "simmpi/cluster.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <cstdio>
 #include <numeric>
-#include <thread>
 
 #include "simmpi/detail_state.hpp"
 #include "simmpi/fiber.hpp"
@@ -28,10 +27,6 @@ namespace detail {
 }
 
 }  // namespace detail
-
-RankCtxScope::RankCtxScope(RankCtx* ctx) : saved_(g_ctx) { g_ctx = ctx; }
-
-RankCtxScope::~RankCtxScope() { g_ctx = saved_; }
 
 const char* phase_name(Phase p) {
   switch (p) {
@@ -91,43 +86,17 @@ void Cluster::request_abort_locked(int world_rank, const std::string& what) {
     rank_errors_[static_cast<size_t>(world_rank)] = what;
   }
   abort_requested_ = true;
-  progress_gen_++;
-  cv_.notify_all();
   // Every parked fiber must re-check its predicate, see the abort, and
   // unwind — keyed wake-ups alone would leave unrelated waits parked
   // forever.
   wake_all_fibers_locked();
-  watchdog_cv_.notify_all();
-}
-
-void CoopMutex::lock() {
-  if (!locked_.exchange(true, std::memory_order_acquire)) return;
-  if (detail::current_fiber() != nullptr && cluster_ != nullptr) {
-    std::unique_lock<std::mutex> lk(cluster_->mu_);
-    while (locked_.exchange(true, std::memory_order_acquire))
-      cluster_->fiber_park_locked(lk, detail::WaitKey::mutex(this));
-  } else {
-    std::unique_lock<std::mutex> lk(gate_);
-    gate_cv_.wait(lk, [&] {
-      return !locked_.exchange(true, std::memory_order_acquire);
-    });
-  }
-}
-
-void CoopMutex::unlock() {
-  locked_.store(false, std::memory_order_release);
-  if (cluster_ != nullptr) {
-    std::lock_guard<std::mutex> lk(cluster_->mu_);
-    cluster_->wake_key_locked(detail::WaitKey::mutex(this));
-  }
-  // Acquire gate_ before notifying: a plain-thread waiter that saw
-  // locked_==true is either already waiting or still holds gate_ (blocking
-  // us here until it waits), so the notify cannot fall in its gap.
-  { std::lock_guard<std::mutex> lk(gate_); }
-  gate_cv_.notify_all();
 }
 
 void Cluster::fault_point(RankCtx* ctx) {
+  CA_REQUIRE(ctx != nullptr,
+             "simmpi call from a thread that is not a rank: only rank fibers "
+             "may call Comm operations (a thread a rank spawns has no rank "
+             "context)");
   ctx->comm_ops++;
   for (const FaultPlan::KillRank& k : faults_.kills)
     if (k.rank == ctx->world_rank && k.at_op == ctx->comm_ops)
@@ -175,53 +144,16 @@ std::string Cluster::wait_for_table_locked() const {
     if (c.finished) {
       out += strprintf("  rank %3d  finished                      vtime=%.9g\n",
                        r, c.clock);
-    } else if (c.blocked_op != nullptr) {
+    } else {
+      // Nothing runs at a drain: every live rank is parked in a wait.
+      CA_ASSERT(c.blocked_op != nullptr);
       out += strprintf(
           "  rank %3d  blocked in %-14s comm=%llu peer=%d tag=%d vtime=%.9g\n",
           r, c.blocked_op, static_cast<unsigned long long>(c.blocked_comm),
           c.blocked_peer, c.blocked_tag, c.clock);
-    } else {
-      // A running rank's clock is written by its fiber without mu_, so it
-      // cannot be read here (ThreadSanitizer-verified); blocked and
-      // finished ranks published theirs before taking the lock.
-      out += strprintf("  rank %3d  running\n", r);
     }
   }
   return out;
-}
-
-void Cluster::watchdog_main() {
-  std::unique_lock<std::mutex> lk(mu_);
-  std::uint64_t prev_gen = progress_gen_;
-  bool prev_all_blocked = false;
-  while (run_active_) {
-    watchdog_cv_.wait_for(lk, std::chrono::milliseconds(watchdog_interval_ms_));
-    if (!run_active_) break;
-    if (abort_requested_) {
-      prev_all_blocked = false;
-      continue;
-    }
-    // Deadlock iff every live rank is parked in a rendezvous wait, no fiber
-    // is runnable or running, and no rendezvous event happened for a full
-    // sampling interval. Then nothing can ever wake anyone: wakes only come
-    // from rank progress (there is none) or an abort. A fiber that was woken
-    // but not yet dispatched keeps the scheduler non-idle, so host
-    // scheduling lag cannot fake the condition.
-    const bool all_blocked = finished_count_ < nranks_ &&
-                             blocked_count_ == nranks_ - finished_count_;
-    if (all_blocked && fiber_sched_->idle() && prev_all_blocked &&
-        progress_gen_ == prev_gen) {
-      watchdog_report_ = strprintf(
-          "deadlock detected: all %d live ranks blocked with no progress\n%s",
-          nranks_ - finished_count_, wait_for_table_locked().c_str());
-      std::fprintf(stderr, "[simmpi watchdog] %s", watchdog_report_.c_str());
-      request_abort_locked(-1, watchdog_report_);
-      prev_all_blocked = false;
-      continue;
-    }
-    prev_all_blocked = all_blocked;
-    prev_gen = progress_gen_;
-  }
 }
 
 void Cluster::run(const std::function<void(Comm&)>& rank_main) {
@@ -240,12 +172,10 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   rank_errors_.assign(static_cast<size_t>(nranks_), {});
   rank_failed_.assign(static_cast<size_t>(nranks_), 0);
   degraded_nodes_.clear();
-  watchdog_report_.clear();
+  deadlock_report_.clear();
   recv_match_count_.clear();
   abort_requested_ = false;
-  blocked_count_ = 0;
   finished_count_ = 0;
-  run_active_ = true;
 
   std::vector<int> members(static_cast<size_t>(nranks_));
   std::iota(members.begin(), members.end(), 0);
@@ -260,31 +190,32 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
                   rank_body(r, rank_main, world);
                 });
 
-  // Publish the scheduler before the watchdog starts, so its every sample
-  // can ask it for idleness; cleared only after the watchdog is joined and
-  // can no longer observe it.
   {
     std::lock_guard<std::mutex> lk(mu_);
     fiber_sched_ = &sched;
   }
-  std::thread watchdog;
-  if (watchdog_enabled_) watchdog = std::thread([this] { watchdog_main(); });
-
   sched.start();
-  sched.wait_all_finished();
-
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    run_active_ = false;
-    watchdog_cv_.notify_all();
+  if (!sched.wait_all_finished()) {
+    // Drained: every live rank is parked and nothing runs that could wake
+    // one. Report the wait-for table and abort, which wakes every parked
+    // fiber into an unwind. Once per run: after the abort every blocking
+    // primitive throws, so the second wait ends with every fiber finished.
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      deadlock_report_ = strprintf(
+          "deadlock detected: all %d live ranks blocked with no progress\n%s",
+          nranks_ - finished_count_, wait_for_table_locked().c_str());
+      std::fprintf(stderr, "[simmpi deadlock] %s", deadlock_report_.c_str());
+      request_abort_locked(-1, deadlock_report_);
+    }
+    const bool finished = sched.wait_all_finished();
+    CA_ASSERT_MSG(finished, "run drained again after the deadlock abort");
   }
-  if (watchdog.joinable()) watchdog.join();
   {
     std::lock_guard<std::mutex> lk(mu_);
     fiber_sched_ = nullptr;
   }
   sched.shutdown();
-  fiber_workers_used_ = sched.workers_started();
 
   // Drain undelivered messages. An aborted (or simply unbalanced) run can
   // leave eager sends in the channels; the receiver that would have deleted
@@ -305,7 +236,7 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
   // still leaves per-rank virtual times readable for diagnostics.
   for (int r = 0; r < nranks_; ++r) ctx_[r].stats.vtime = ctx_[r].clock;
 
-  if (!watchdog_report_.empty()) throw Error(watchdog_report_);
+  if (!deadlock_report_.empty()) throw Error(deadlock_report_);
 
   int nfailed = 0;
   for (int r = 0; r < nranks_; ++r)
@@ -342,7 +273,6 @@ void Cluster::rank_body(int rank, const std::function<void(Comm&)>& rank_main,
   std::lock_guard<std::mutex> lk(mu_);
   ctx_[static_cast<size_t>(rank)].finished = true;
   finished_count_++;
-  progress_gen_++;
 }
 
 const RankStats& Cluster::stats(int rank) const {

@@ -11,8 +11,6 @@
 // the benchmark harness reads to reproduce the paper's tables and figures.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -20,7 +18,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -130,7 +127,7 @@ struct RankCtx {
   double slowdown = 1.0;  ///< fault-injected straggler factor (>= 1)
   i64 comm_ops = 0;       ///< communication ops issued (fault-kill counter)
 
-  // --- blocked-state, read by the deadlock watchdog ---
+  // --- blocked-state, read by the deadlock report ---
   // All fields below are written and read only under Cluster::mu_.
   const char* blocked_op = nullptr;  ///< non-null while parked in a wait
   std::uint64_t blocked_comm = 0;    ///< communicator id of the wait
@@ -154,27 +151,9 @@ struct RankCtx {
   void track_free(i64 bytes) { stats.cur_bytes -= bytes; }
 };
 
-/// Context of the calling rank; null outside Cluster::run.
+/// Context of the calling rank; null outside a rank fiber (plain threads,
+/// including threads a rank spawned, never have one).
 RankCtx* current_ctx();
-
-/// RAII adoption of a rank context by the calling thread (nests; the
-/// previous context is restored on destruction). Rank fibers get their
-/// context installed by Cluster::run; this scope lets a *helper* thread a
-/// rank spawned (e.g. concurrent callers racing into PgemmEngine::submit)
-/// act as that rank — charging virtual time, tracking memory, and driving
-/// collectives on its behalf. The adopting threads must hand the context
-/// around with mutual exclusion (one thread inside the scope's rank at a
-/// time); RankCtx itself is not thread-safe.
-class RankCtxScope {
- public:
-  explicit RankCtxScope(RankCtx* ctx);
-  ~RankCtxScope();
-  RankCtxScope(const RankCtxScope&) = delete;
-  RankCtxScope& operator=(const RankCtxScope&) = delete;
-
- private:
-  RankCtx* saved_;
-};
 
 /// Records a zero-duration trace marker on the calling rank's timeline at
 /// its current virtual time (plan build, engine cache event, redistribution
@@ -199,19 +178,15 @@ struct SendRec;
 struct RecvRec;
 struct Fiber;
 class FiberScheduler;
-/// The fiber the calling OS thread is running, or nullptr on plain threads.
-/// (Defined in fiber.cpp; re-declared here so cluster code can route waits
-/// without pulling in ucontext.)
-Fiber* current_fiber();
 
 /// Installs `next` as the calling thread's rank context and returns the
 /// previous one. The fiber scheduler is the only caller: it swaps each
-/// fiber's TLS view in and out around context switches, so RankCtxScope
-/// keeps working when fibers share (and migrate between) worker threads.
-/// A fiber body never writes the rank TLS itself — its first view is
-/// seeded at spawn — because a compiler may keep the thread-pointer-derived
-/// address of a TLS variable across a call, and by the time a call that
-/// parked returns the fiber may run on another worker.
+/// fiber's TLS view in and out around context switches, so fibers share
+/// (and migrate between) worker threads. A fiber body never writes the
+/// rank TLS itself — its first view is seeded at spawn — because a
+/// compiler may keep the thread-pointer-derived address of a TLS variable
+/// across a call, and by the time a call that parked returns the fiber may
+/// run on another worker.
 RankCtx* swap_rank_tls(RankCtx* next);
 
 /// Key identifying a point-to-point channel.
@@ -239,9 +214,6 @@ struct WaitKey {
                    (static_cast<std::uint64_t>(c.src) << 40) |
                        (static_cast<std::uint64_t>(c.dst) << 20) |
                        (static_cast<std::uint64_t>(c.tag) & 0xFFFFFu)};
-  }
-  static WaitKey mutex(const void* m) {
-    return WaitKey{3u, reinterpret_cast<std::uintptr_t>(m)};
   }
 };
 
@@ -273,10 +245,15 @@ class Cluster {
   ///
   /// Failure semantics: a rank exception triggers a cooperative abort — all
   /// peers blocked in communication unwind, run() always joins, and a single
-  /// ca3dmm::Error listing *every* failed rank is thrown. A deadlock (all
-  /// live ranks blocked with no progress) is detected by the watchdog and
-  /// reported as an Error carrying the full wait-for table instead of
-  /// hanging.
+  /// ca3dmm::Error listing *every* failed rank is thrown. A deadlock (every
+  /// live rank parked, none running) is detected by the fiber scheduler the
+  /// moment it happens and reported as an Error carrying the full wait-for
+  /// table instead of hanging.
+  ///
+  /// Contract: only rank fibers call into simmpi. A Comm call from any
+  /// other thread (including one a rank spawned) raises a ca3dmm::Error,
+  /// and rank code must never block in the OS on anything another rank
+  /// releases.
   void run(const std::function<void(Comm&)>& rank_main);
 
   int nranks() const { return nranks_; }
@@ -297,15 +274,11 @@ class Cluster {
   /// corrupting a neighbour.
   void set_fiber_stack_bytes(std::size_t bytes) { fiber_stack_bytes_ = bytes; }
 
-  /// Fiber worker threads; 0 (default) picks min(hardware_concurrency,
-  /// nranks). Results, vtimes, traces and fault behavior do not depend on
-  /// this number — see docs/SIMMPI.md for the determinism contract. The
-  /// pool grows at runtime only when every worker is stuck in a fiber that
-  /// blocks in the OS (no dispatch and no worker CPU time across two
-  /// samples), never for fibers that compute.
+  /// Fiber worker threads, fixed for the run; 0 (default) picks
+  /// min(hardware_concurrency, nranks). Results, vtimes, traces and fault
+  /// behavior do not depend on this number — see docs/SIMMPI.md for the
+  /// determinism contract.
   void set_fiber_workers(int n) { fiber_workers_ = n; }
-  /// Worker threads the last run() started, growth included.
-  int fiber_workers_used() const { return fiber_workers_used_; }
 
   /// Stats of one rank after run().
   const RankStats& stats(int rank) const;
@@ -363,15 +336,6 @@ class Cluster {
   void set_collective_config(const CollectiveConfig& c) { coll_config_ = c; }
   const CollectiveConfig& collective_config() const { return coll_config_; }
 
-  /// Deadlock watchdog (on by default): a background thread that aborts the
-  /// run with a wait-for-table diagnostic when every live rank is blocked
-  /// and no progress occurs across two sampling intervals.
-  void set_watchdog(bool enabled) { watchdog_enabled_ = enabled; }
-  void set_watchdog_interval_ms(int ms) {
-    CA_REQUIRE(ms >= 1, "watchdog interval must be >= 1 ms, got %d", ms);
-    watchdog_interval_ms_ = ms;
-  }
-
   /// Writes the recorded timelines of the last run() in Chrome trace-event
   /// JSON (open in chrome://tracing or https://ui.perfetto.dev): one pid
   /// per simulated node, one tid per rank, one slice per operation,
@@ -381,7 +345,6 @@ class Cluster {
 
  private:
   friend class Comm;
-  friend class CoopMutex;
   friend struct detail::CommState;
 
   /// Per-rank fiber body: runs rank_main under the abort/error wrappers and
@@ -391,18 +354,13 @@ class Cluster {
                  const std::shared_ptr<detail::CommState>& world);
 
   // --- fiber parking / keyed wake-ups (all under mu_) ---
-  /// Blocks the calling rank until `pred` holds. Fibers park under `key` and
-  /// are woken by wake_key_locked / wake_all_fibers_locked; plain threads
-  /// (engine helper threads that adopted a rank context) wait on the
-  /// cluster condition variable. Predicates may have side-effects (posting
-  /// a receive) — they are re-evaluated on every wake either way.
+  /// Blocks the calling rank fiber until `pred` holds: it parks under `key`
+  /// and is woken by wake_key_locked / wake_all_fibers_locked. Predicates
+  /// may have side-effects (posting a receive) — they are re-evaluated on
+  /// every wake.
   template <typename Pred>
   void rank_wait(std::unique_lock<std::mutex>& lk, const detail::WaitKey& key,
                  Pred&& pred) {
-    if (detail::current_fiber() == nullptr) {
-      cv_.wait(lk, std::forward<Pred>(pred));
-      return;
-    }
     while (!pred()) fiber_park_locked(lk, key);
   }
   void fiber_park_locked(std::unique_lock<std::mutex>& lk,
@@ -434,9 +392,11 @@ class Cluster {
   }
 
   // --- fault injection ---
-  /// Counts one communication op on `ctx` and throws ca3dmm::Error if the
-  /// fault plan kills this rank at this op. No lock needed: the plan is
-  /// immutable during run() and the counter is rank-private.
+  /// Entry check of every communication op: throws ca3dmm::Error when the
+  /// caller is not a rank fiber (`ctx` null), then counts one op on `ctx`
+  /// and throws if the fault plan kills this rank at this op. No lock
+  /// needed: the plan is immutable during run() and the counter is
+  /// rank-private.
   void fault_point(RankCtx* ctx);
   /// Applies any matching payload flip to a just-received message. mu_ held.
   void maybe_flip_payload_locked(const detail::ChannelKey& key, void* buf,
@@ -444,8 +404,7 @@ class Cluster {
   /// Records a node the straggler policy reclassified as degraded. mu_ held.
   void note_degraded_locked(int node);
 
-  // --- deadlock watchdog ---
-  void watchdog_main();
+  // --- deadlock report (the scheduler detects the drain) ---
   std::string wait_for_table_locked() const;
 
   int nranks_;
@@ -456,7 +415,6 @@ class Cluster {
   // One lock for all rendezvous state; the simulator targets correctness and
   // deterministic virtual time, not host-parallel throughput.
   std::mutex mu_;
-  std::condition_variable cv_;
   std::map<detail::ChannelKey, std::deque<detail::SendRec*>> channels_;
   std::uint64_t next_comm_id_ = 1;
   TraceConfig trace_cfg_;
@@ -467,28 +425,20 @@ class Cluster {
 
   // --- run-scoped failure state (guarded by mu_) ---
   bool abort_requested_ = false;
-  std::uint64_t progress_gen_ = 0;  ///< bumped on every rendezvous event
-  int blocked_count_ = 0;           ///< ranks parked in a wait
-  int finished_count_ = 0;          ///< rank fibers that returned
-  bool run_active_ = false;         ///< watchdog lifetime
-  std::condition_variable watchdog_cv_;
-  bool watchdog_enabled_ = true;
-  int watchdog_interval_ms_ = 100;
+  int finished_count_ = 0;  ///< rank fibers that returned
   std::vector<std::string> rank_errors_;
   std::vector<std::uint8_t> rank_failed_;
   /// Nodes the straggler policy reclassified as degraded (sorted, unique).
   std::vector<int> degraded_nodes_;
-  std::string watchdog_report_;
+  std::string deadlock_report_;
   /// Per-(src,dst,tag) received-message counter for payload flips.
   std::map<std::tuple<int, int, int>, int> recv_match_count_;
 
   // --- fiber scheduler state ---
   std::size_t fiber_stack_bytes_ = 0;  ///< 0 = default (1 MiB)
   int fiber_workers_ = 0;              ///< 0 = auto
-  int fiber_workers_used_ = 0;
-  /// Live scheduler while a run() is in flight, else null. Read by
-  /// wakers and the watchdog under mu_ (set before the watchdog starts,
-  /// cleared after it is joined).
+  /// Live scheduler while a run() is in flight, else null. Read by wakers
+  /// under mu_.
   detail::FiberScheduler* fiber_sched_ = nullptr;
   /// Parked fibers by wait key (guarded by mu_). A fiber appears in at most
   /// one list; the waker erases it before calling FiberScheduler::wake.
@@ -497,35 +447,6 @@ class Cluster {
   /// mu_). At most one posted recv per channel: a receiver only posts when
   /// the channel queue is empty, and un-posts before leaving its wait.
   std::map<detail::ChannelKey, detail::RecvRec*> posted_recvs_;
-};
-
-/// Mutex usable from rank fibers and plain threads. A fiber that blocks on
-/// a std::mutex wedges its whole worker thread — and worse, a fiber resumed
-/// on a *different* worker would unlock the mutex on a thread that did not
-/// lock it, which is undefined behavior. CoopMutex instead parks fibers
-/// through the cluster's scheduler and keeps plain threads (engine helper
-/// threads) on an internal condition variable. Ownership is a bare atomic,
-/// so lock/unlock may legally happen on different OS threads as a fiber
-/// migrates. Bind to a cluster once before first use from fiber context;
-/// unbound it still works for plain threads.
-class CoopMutex {
- public:
-  CoopMutex() = default;
-  CoopMutex(const CoopMutex&) = delete;
-  CoopMutex& operator=(const CoopMutex&) = delete;
-
-  void bind(Cluster* cl) { cluster_ = cl; }
-  void lock();
-  void unlock();
-
- private:
-  std::atomic<bool> locked_{false};
-  Cluster* cluster_ = nullptr;
-  // Plain-thread waiters. The unlocker acquires gate_ before notifying so a
-  // waiter that saw locked_==true cannot miss the wake between its check
-  // and its wait.
-  std::mutex gate_;
-  std::condition_variable gate_cv_;
 };
 
 /// RAII owning buffer whose size is reported to the rank's memory tracker.

@@ -2,10 +2,8 @@
 
 #include <pthread.h>
 #include <sys/mman.h>
-#include <time.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -240,12 +238,8 @@ FiberScheduler::FiberScheduler(int nranks, int workers,
                                std::size_t stack_bytes)
     : nranks_(nranks), stack_bytes_(stack_bytes) {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  initial_workers_ = workers > 0 ? workers : std::min(nranks, std::max(1, hw));
-  initial_workers_ = std::max(1, std::min(initial_workers_, nranks));
-  // Growth cap: in the worst case every rank fiber blocks in the OS at once
-  // (rank code join()ing real helper threads), and each needs its own
-  // worker for the rest to keep running.
-  max_workers_ = nranks;
+  nworkers_ = workers > 0 ? workers : std::min(nranks, std::max(1, hw));
+  nworkers_ = std::max(1, std::min(nworkers_, nranks));
   fibers_.resize(static_cast<size_t>(nranks));
 }
 
@@ -263,7 +257,6 @@ void FiberScheduler::spawn(int rank, RankCtx* ctx,
                            std::function<void()> body) {
   auto f = std::make_unique<Fiber>();
   f->rank = rank;
-  f->sched = this;
   f->body = std::move(body);
   // switch_into installs this view on first dispatch, so the body starts as
   // the rank without ever writing the TLS itself (see swap_rank_tls).
@@ -310,34 +303,8 @@ void FiberScheduler::spawn(int rank, RankCtx* ctx,
 
 void FiberScheduler::start() {
   std::lock_guard<std::mutex> lk(mu_);
-  for (int i = 0; i < initial_workers_; ++i) spawn_worker_locked();
-  monitor_ = std::thread([this] { monitor_main(); });
-}
-
-void FiberScheduler::spawn_worker_locked() {
-  workers_.emplace_back([this] { worker_main(); });
-  // A worker without a CPU clock counts as never busy, which only keeps the
-  // growth rule's blocked-in-the-OS side.
-  clockid_t clock{};
-  if (pthread_getcpuclockid(workers_.back().native_handle(), &clock) == 0)
-    worker_clocks_.push_back(clock);
-}
-
-int FiberScheduler::workers_started() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return static_cast<int>(workers_.size());
-}
-
-std::int64_t FiberScheduler::worker_cpu_ns_locked() const {
-  // Workers exit only after stop_ is set under mu_, so with mu_ held and
-  // stop_ clear every clock still belongs to a live thread.
-  std::int64_t ns = 0;
-  for (clockid_t c : worker_clocks_) {
-    timespec ts{};
-    if (clock_gettime(c, &ts) == 0)
-      ns += static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
-  }
-  return ns;
+  for (int i = 0; i < nworkers_; ++i)
+    workers_.emplace_back([this] { worker_main(); });
 }
 
 Fiber* FiberScheduler::pop_runnable_locked() {
@@ -362,29 +329,29 @@ void FiberScheduler::worker_main() {
       if (runnable_.empty()) return;  // stop_ set and nothing left to run
       f = pop_runnable_locked();
       ++running_;
-      ++dispatches_;
     }
     f->state.store(Fiber::kRunning, std::memory_order_relaxed);
     switch_into(f);
     // The fiber switched back: it either finished or is parking.
-    if (f->state.load(std::memory_order_acquire) == Fiber::kFinished) {
-      std::lock_guard<std::mutex> lk(mu_);
-      --running_;
-      if (++finished_ == nranks_) done_cv_.notify_all();
-    } else {
-      int expected = Fiber::kParking;
-      const bool parked = f->state.compare_exchange_strong(
-          expected, Fiber::kParked, std::memory_order_acq_rel);
-      std::lock_guard<std::mutex> lk(mu_);
-      --running_;
-      if (!parked) {
-        // A waker caught the fiber mid-switch (kNotified): it is in no wait
-        // list and no one else owns it, so this worker re-enqueues it.
-        f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
-        runnable_.insert({f->vclock, f->rank});
-        work_cv_.notify_one();
-      }
+    const bool finished =
+        f->state.load(std::memory_order_acquire) == Fiber::kFinished;
+    int expected = Fiber::kParking;
+    const bool parked =
+        !finished && f->state.compare_exchange_strong(
+                         expected, Fiber::kParked, std::memory_order_acq_rel);
+    std::lock_guard<std::mutex> lk(mu_);
+    --running_;
+    if (finished) {
+      ++finished_;
+    } else if (!parked) {
+      // A waker caught the fiber mid-switch (kNotified): it is in no wait
+      // list and no one else owns it, so this worker re-enqueues it.
+      f->state.store(Fiber::kRunnable, std::memory_order_relaxed);
+      runnable_.insert({f->vclock, f->rank});
+      work_cv_.notify_one();
     }
+    // Every fiber finished, or the run drained (see wait_all_finished).
+    if (running_ == 0 && runnable_.empty()) done_cv_.notify_all();
   }
 }
 
@@ -440,42 +407,14 @@ void FiberScheduler::wake(Fiber* f) {
   work_cv_.notify_one();
 }
 
-bool FiberScheduler::idle() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return runnable_.empty() && running_ == 0;
-}
-
-void FiberScheduler::monitor_main() {
-  // Less worker CPU than this per sample counts as blocked, not computing.
-  constexpr std::int64_t kBusyNs = 1'000'000;
+bool FiberScheduler::wait_all_finished() {
+  // Only running fibers wake parked ones, so an empty run queue with
+  // nothing running is final: either every fiber finished, or the ones
+  // still parked can never be woken. A fiber woken but not yet dispatched
+  // sits in the run queue, so host scheduling lag cannot fake a drain.
   std::unique_lock<std::mutex> lk(mu_);
-  std::uint64_t last_dispatches = dispatches_;
-  std::int64_t last_cpu = worker_cpu_ns_locked();
-  bool prev_stuck = false;
-  while (!stop_) {
-    monitor_cv_.wait_for(lk, std::chrono::milliseconds(10));
-    if (stop_) break;
-    // Runnable fibers, no dispatch and no worker CPU time across two
-    // samples means every worker is wedged inside a fiber that blocked in
-    // the OS (mutex, join, sleep). Grow the pool so the runnable fibers make
-    // progress; idle extra workers are harmless and die at shutdown. A
-    // worker that computes is busy, not wedged: it comes back for the
-    // runnable fibers, and growing would only exceed set_fiber_workers.
-    const std::int64_t cpu = worker_cpu_ns_locked();
-    const bool stuck = !runnable_.empty() && dispatches_ == last_dispatches &&
-                       cpu - last_cpu < kBusyNs;
-    if (stuck && prev_stuck &&
-        static_cast<int>(workers_.size()) < max_workers_)
-      spawn_worker_locked();
-    prev_stuck = stuck;
-    last_dispatches = dispatches_;
-    last_cpu = cpu;
-  }
-}
-
-void FiberScheduler::wait_all_finished() {
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [&] { return finished_ == nranks_; });
+  done_cv_.wait(lk, [&] { return running_ == 0 && runnable_.empty(); });
+  return finished_ == nranks_;
 }
 
 void FiberScheduler::shutdown() {
@@ -484,9 +423,7 @@ void FiberScheduler::shutdown() {
     stop_ = true;
   }
   work_cv_.notify_all();
-  monitor_cv_.notify_all();
   for (auto& w : workers_) w.join();
-  if (monitor_.joinable()) monitor_.join();
 }
 
 }  // namespace ca3dmm::simmpi::detail

@@ -2,21 +2,20 @@
 //
 // A thread per rank caps real runs at a few hundred ranks per box. Here a
 // rank is a stackful fiber with its own small guard-paged stack,
-// multiplexed over a worker pool of about hardware_concurrency OS threads.
-// Runnable fibers are dispatched lowest virtual clock first, so the
-// execution order tracks simulated time; the cluster's state transitions
-// are order-independent by construction, which is what makes results,
-// vtimes, and traces bit-identical whatever the number of workers
-// (docs/SIMMPI.md documents the determinism contract).
+// multiplexed over a fixed pool of worker OS threads. Runnable fibers are
+// dispatched lowest virtual clock first, so the execution order tracks
+// simulated time; the cluster's state transitions are order-independent by
+// construction, which is what makes results, vtimes, and traces
+// bit-identical whatever the number of workers (docs/SIMMPI.md documents
+// the determinism contract).
 //
-// Blocking: a fiber that would wait on the cluster condition variable
-// instead parks — it registers under a WaitKey, unlocks the cluster mutex,
-// and switches back to its worker's scheduler context. Wake-ups are keyed
-// (per communicator, per p2p channel, per cooperative mutex), so completing
-// one rendezvous never touches the thousands of fibers parked on unrelated
-// state. Real OS threads (e.g. PgemmEngine helper threads that adopted a
-// rank context) keep using the condition-variable path; every wake site
-// signals both.
+// Blocking: a rank that must wait parks its fiber — it registers under a
+// WaitKey, unlocks the cluster mutex, and switches back to its worker's
+// scheduler context. Wake-ups are keyed (per communicator, per p2p
+// channel), so completing one rendezvous never touches the thousands of
+// fibers parked on unrelated state. Only rank fibers call into simmpi, and
+// rank code never blocks in the OS on anything another rank releases, so a
+// worker is only ever busy with a fiber that computes.
 //
 // The parking handshake is the eventcount pattern: the fiber announces
 // kParking under the cluster lock, unlocks, and switches out; its worker
@@ -26,16 +25,17 @@
 // "switched out" is never lost, and a fiber is never enqueued while a
 // worker is still on its stack.
 //
+// Deadlock detection falls out of the same bookkeeping: wakes come only
+// from running fibers, so once the run queue is empty and no fiber is
+// running while some fiber has not finished, nothing can ever wake anyone.
+// The worker that parks or finishes the last running fiber sees that under
+// the scheduler lock and wakes wait_all_finished, which reports the drain.
+//
 // Workers never hold the cluster mutex across a context switch, and a
 // fiber's TLS view (current rank context, active buffer pool) is saved and
 // restored around every switch, so fibers migrate freely between workers.
-// A monitor thread grows the pool when every worker is stuck inside a
-// fiber that blocked in the OS (e.g. rank code join()ing helper threads)
-// while runnable fibers starve; the workers' CPU clocks tell a blocked
-// worker from one that computes, which never grows the pool.
 #pragma once
 
-#include <time.h>
 #include <ucontext.h>
 
 // Context-switch mechanism. On x86-64 Linux the scheduler uses a hand-rolled
@@ -52,7 +52,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -96,12 +95,11 @@ struct Fiber {
   /// Virtual clock at the last park; dispatch priority (lowest first).
   double vclock = 0;
   std::function<void()> body;
-  FiberScheduler* sched = nullptr;
 
   // Fiber-virtualized thread-locals, live while the fiber is switched out.
-  // PoolScope / RankCtxScope mutate real TLS; saving both around every
-  // switch keeps one fiber's pool or adopted context from leaking into
-  // another fiber sharing the worker.
+  // PoolScope mutates real TLS; saving both views around every switch
+  // keeps one fiber's pool or rank context from leaking into another fiber
+  // sharing the worker.
   RankCtx* tls_ctx = nullptr;
   BufferPool* tls_pool = nullptr;
 
@@ -110,8 +108,7 @@ struct Fiber {
 };
 
 /// The fiber the calling OS thread is currently running, or nullptr when
-/// called from a plain thread (engine helper threads, the watchdog). This
-/// is what routes Cluster::rank_wait to park vs cv-wait.
+/// called from a plain thread.
 Fiber* current_fiber();
 
 /// Worker pool + runnable set. Wake-side bookkeeping (the WaitKey -> fiber
@@ -132,13 +129,15 @@ class FiberScheduler {
   /// start at virtual time 0, dispatched in rank order).
   void spawn(int rank, RankCtx* ctx, std::function<void()> body);
 
-  /// Launches the worker pool and the growth monitor.
+  /// Launches the worker pool.
   void start();
 
-  /// Blocks until every spawned fiber reached kFinished.
-  void wait_all_finished();
+  /// Blocks until no fiber is runnable or running. Returns true when every
+  /// spawned fiber reached kFinished, false on a drain: some fiber is still
+  /// parked and, with nothing running to wake it, never will be.
+  bool wait_all_finished();
 
-  /// Stops and joins workers + monitor. All fibers must be finished.
+  /// Stops and joins the workers. All fibers must be finished.
   void shutdown();
 
   /// Parks the current fiber. Caller holds the cluster mutex via `lk` and
@@ -148,50 +147,31 @@ class FiberScheduler {
   void park_current(std::unique_lock<std::mutex>& lk);
 
   /// Makes a fiber runnable again (or flags it kNotified if it is still
-  /// switching out). The caller must have removed it from the wait table;
-  /// callable from fibers and plain threads alike.
+  /// switching out). The caller must have removed it from the wait table.
+  /// Called from running fibers, and from the thread in Cluster::run that
+  /// aborts a drained run.
   void wake(Fiber* f);
 
-  /// True when no fiber is runnable or running — with every live rank
-  /// blocked and no progress, that is the watchdog's deadlock criterion
-  /// (parked fibers cannot self-resume).
-  bool idle() const;
-
   int nranks() const { return nranks_; }
-  /// Worker threads started so far (initial pool plus growth).
-  int workers_started() const;
 
  private:
   void worker_main();
-  void monitor_main();
   void switch_into(Fiber* f);
-  void spawn_worker_locked();
   Fiber* pop_runnable_locked();
-  /// CPU time all workers have used so far, in nanoseconds.
-  std::int64_t worker_cpu_ns_locked() const;
 
   int nranks_;
-  int initial_workers_;
-  int max_workers_;
+  int nworkers_;
   std::size_t stack_bytes_;
   std::vector<std::unique_ptr<Fiber>> fibers_;  ///< indexed by rank
 
-  mutable std::mutex mu_;  ///< guards everything below
+  std::mutex mu_;  ///< guards everything below
   std::set<std::pair<double, int>> runnable_;  ///< (vclock, rank)
   int running_ = 0;        ///< fibers currently on a worker stack
   int finished_ = 0;
-  std::uint64_t dispatches_ = 0;  ///< growth monitor's progress signal
   bool stop_ = false;
   std::vector<std::thread> workers_;
-  std::vector<clockid_t> worker_clocks_;  ///< CPU clocks of the workers
-  std::thread monitor_;
   std::condition_variable work_cv_;   ///< runnable pushed / stop
-  std::condition_variable done_cv_;   ///< finished_ == nranks_
-  /// The monitor sleeps on its own condition variable, never on work_cv_:
-  /// a wake() notification would end its wait_for early, and two
-  /// back-to-back notifications would look like two 10 ms samples with no
-  /// dispatch in between — growing the pool on a phantom stall.
-  std::condition_variable monitor_cv_;
+  std::condition_variable done_cv_;   ///< no fiber runnable or running
 };
 
 }  // namespace detail

@@ -1,7 +1,7 @@
 // Failure semantics of the simulated cluster: cooperative abort (a failing
 // rank unwinds every peer in bounded time, with a rank-attributed error),
 // deterministic fault injection (rank kills, node stragglers, payload
-// flips), the collective-consistency checker, and the deadlock watchdog.
+// flips), the collective-consistency checker, and deadlock detection.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -221,9 +221,9 @@ TEST(P2PValidation, RecvSizeMismatchIsAnErrorNotAnAbort) {
 
 TEST(Watchdog, TagMismatchBecomesWaitForTable) {
   // Rank 1 sends tag 7 and finishes; rank 0 waits for tag 999 forever. The
-  // watchdog must convert the hang into a diagnostic naming the stuck op.
+  // scheduler's deadlock detection must convert the hang into a diagnostic
+  // naming the stuck op.
   Cluster cl(2, Machine::unit_test());
-  cl.set_watchdog_interval_ms(20);
   const std::string msg = run_expect_error(cl, [](Comm& c) {
     if (c.rank() == 0) {
       double x = 0;
@@ -245,7 +245,6 @@ TEST(Watchdog, SplitCollectiveDeadlockDetected) {
   // runs a barrier on the world communicator while rank 1 runs a barrier on
   // a subgroup... constructed here as a world barrier only rank 0 enters.
   Cluster cl(2, Machine::unit_test());
-  cl.set_watchdog_interval_ms(20);
   const std::string msg = run_expect_error(cl, [](Comm& c) {
     if (c.rank() == 0) {
       c.barrier();
@@ -260,10 +259,9 @@ TEST(Watchdog, SplitCollectiveDeadlockDetected) {
 
 TEST(Watchdog, DoesNotFireOnHealthyRuns) {
   // A run with plenty of blocking communication but steady progress must
-  // never trip the watchdog, even at an aggressive sampling interval.
+  // never trip deadlock detection, which checks on every park.
   const int P = 8;
   Cluster cl(P, Machine::unit_test());
-  cl.set_watchdog_interval_ms(1);
   cl.run([&](Comm& c) {
     for (int i = 0; i < 200; ++i) {
       const int me = c.rank();

@@ -1,22 +1,20 @@
 // Fiber scheduler: the determinism contract (results, per-rank virtual
 // times, per-phase stats, and trace critical paths bit-identical between
-// one worker and four), deadlock watchdog and fault injection on fibers,
-// the zero-copy posted-receive fast path, engine helper threads racing into
-// a fiber-hosted rank, worker-pool growth (only for workers blocked in the
-// OS, never for computing ones), and a many-rank smoke at P=512.
+// one worker and four), deadlock detection on a drained run queue (exact:
+// never while a rank computes, always when every live rank is parked),
+// fault injection on fibers, the zero-copy posted-receive fast path, the
+// rule that only rank fibers call simmpi, and a many-rank smoke at P=512.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "costmodel/drift.hpp"
 #include "engine/engine.hpp"
-#include "linalg/gemm.hpp"
-#include "linalg/matrix.hpp"
 #include "simmpi/cluster.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/fault.hpp"
@@ -27,7 +25,6 @@ namespace {
 
 using costmodel::Algo;
 using costmodel::Workload;
-using engine::EngineStats;
 using engine::PgemmEngine;
 using engine::Request;
 
@@ -159,10 +156,9 @@ TEST(FiberParity, TraceAndCriticalPathIdentical) {
 
 TEST(FiberWatchdog, DeadlockDetectedOnFibers) {
   // Parked fibers cannot self-resume, so "nothing runnable, nothing
-  // running" is the watchdog's deadlock criterion; it must produce the
-  // rank-attributed wait-for diagnostic.
+  // running" is the deadlock criterion; it must produce the rank-attributed
+  // wait-for diagnostic.
   Cluster cl(2, Machine::unit_test());
-  cl.set_watchdog_interval_ms(20);
   const std::string msg = run_expect_error(cl, [](Comm& c) {
     if (c.rank() == 0) {
       double x = 0;
@@ -307,111 +303,141 @@ TEST(ZeroCopy, SizeMismatchStillRaisedOnReceiver) {
   EXPECT_NE(msg.find("rank 0"), std::string::npos) << msg;
 }
 
-TEST(FiberEngine, RacingSubmittersOnFiberRanks) {
-  // Engine helper threads are real OS threads racing into a rank that is a
-  // fiber: they adopt the rank context and block on the condition-variable
-  // path while the fiber's worker blocks in join() — the case the pool's
-  // growth monitor exists for. Results must match the serial reference.
-  const i64 m = 24;
-  const int P = 2, kCallers = 2, kReps = 3;
+/// Busy-waits for `ms` of host time without yielding to the scheduler.
+void spin_ms(int ms) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  volatile double sink = 0;
+  while (std::chrono::steady_clock::now() < until) sink = sink + 1;
+}
+
+TEST(FiberDeadlock, NoFalsePositiveWhileARankComputes) {
+  // Rank 0 computes for 50 ms between a barrier and its sends while every
+  // other rank is parked in recv. A computing fiber is running, so the run
+  // queue never drains and the run completes. On one worker rank 0 enters
+  // the barrier last in virtual time, so it is dispatched after the
+  // receivers have parked.
+  const int P = 4;
+  for (const int workers : {1, 4}) {
+    Cluster cl(P, Machine::unit_test());
+    cl.set_fiber_workers(workers);
+    std::vector<double> got(static_cast<size_t>(P), -1.0);
+    cl.run([&got](Comm& c) {
+      double x = 0;
+      if (c.rank() == 0) c.charge_compute(1e6, 0);
+      c.barrier();
+      if (c.rank() == 0) {
+        spin_ms(50);
+        x = 42.0;
+        for (int r = 1; r < c.size(); ++r) c.send(&x, 1, r, 0);
+      } else {
+        c.recv(&x, 1, 0, 0);
+      }
+      got[static_cast<size_t>(c.rank())] = x;
+    });
+    for (int r = 0; r < P; ++r)
+      EXPECT_EQ(got[static_cast<size_t>(r)], 42.0)
+          << "workers " << workers << " rank " << r;
+  }
+}
+
+TEST(FiberDeadlock, RandomizedVictimSweepIsExact) {
+  // Seeded sweep: a sendrecv ring + allreduce loop in which one victim rank
+  // returns early at a drawn round. Every other rank then parks for good
+  // (in the ring next to the victim, or in the allreduce it never joins),
+  // so every such run must raise the deadlock report with the victim
+  // finished and everyone else blocked, while the same run without the
+  // victim completes.
+  constexpr int kRounds = 6;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const int P = static_cast<int>(rng.uniform(2, 64));
+    const int workers = static_cast<int>(1 << rng.uniform(0, 2));
+    const int victim = static_cast<int>(rng.uniform(0, P - 1));
+    const int quit_round = static_cast<int>(rng.uniform(0, kRounds - 1));
+    const std::string where =
+        strprintf("seed %d P=%d workers=%d victim=%d round=%d",
+                  static_cast<int>(seed), P, workers, victim, quit_round);
+    auto body = [&](bool with_victim) {
+      return [&, with_victim](Comm& c) {
+        const int me = c.rank(), n = c.size();
+        double acc = me;
+        for (int round = 0; round < kRounds; ++round) {
+          if (with_victim && me == victim && round == quit_round) return;
+          double r = 0;
+          c.sendrecv(&acc, 1, (me + 1) % n, &r, 1, (me + n - 1) % n, round);
+          double s = 0;
+          c.allreduce(&r, &s, 1);
+          acc = s / n;
+        }
+      };
+    };
+    Cluster cl(P, Machine::unit_test());
+    cl.set_fiber_workers(workers);
+    const std::string msg = run_expect_error(cl, body(true));
+    EXPECT_NE(msg.find("deadlock detected"), std::string::npos) << where;
+    for (int r = 0; r < P; ++r) {
+      const std::string line = strprintf("  rank %3d  ", r);
+      const size_t at = msg.find(line);
+      ASSERT_NE(at, std::string::npos) << where << " rank " << r;
+      const std::string state = r == victim ? "finished" : "blocked in";
+      EXPECT_EQ(msg.compare(at + line.size(), state.size(), state), 0)
+          << where << " rank " << r << "\n" << msg;
+    }
+    cl.run(body(false));
+  }
+}
+
+TEST(FiberContract, PlainThreadCallsRaiseErrorNamingTheRule) {
+  // Only rank fibers call simmpi. A thread a rank spawns has no rank
+  // context: its Comm and engine calls must raise a ca3dmm::Error that
+  // names the rule instead of dereferencing a null context, and the ranks
+  // themselves carry on.
+  const int P = 2;
+  const i64 m = 8;
   const BlockLayout lay = BlockLayout::col_1d(m, m, P);
-  constexpr std::uint64_t kSeedA = 31, kSeedB = 32;
-  auto fill_local = [&](int rank, std::uint64_t seed,
-                        std::vector<double>& buf) {
-    buf.assign(static_cast<size_t>(lay.local_size(rank)), 0.0);
-    i64 pos = 0;
-    for (const Rect& r : lay.rects_of(rank))
-      for (i64 i = r.r.lo; i < r.r.hi; ++i)
-        for (i64 j = r.c.lo; j < r.c.hi; ++j)
-          buf[static_cast<size_t>(pos++)] = matrix_entry<double>(seed, i, j);
-  };
   Cluster cl(P, Machine::unit_test());
+  std::vector<std::string> comm_err(P), engine_err(P);
   cl.run([&](Comm& world) {
     const int me = world.rank();
-    std::vector<double> a, b;
-    fill_local(me, kSeedA, a);
-    fill_local(me, kSeedB, b);
     PgemmEngine eng(world);
-    std::vector<std::vector<double>> cs(
-        kCallers,
-        std::vector<double>(static_cast<size_t>(lay.local_size(me))));
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kCallers; ++t) {
-      threads.emplace_back([&, t] {
-        for (int i = 0; i < kReps; ++i) {
-          Request<double> req;
-          req.m = m;
-          req.n = m;
-          req.k = m;
-          req.a_layout = &lay;
-          req.a = a.data();
-          req.b_layout = &lay;
-          req.b = b.data();
-          req.c_layout = &lay;
-          req.c = cs[static_cast<size_t>(t)].data();
-          eng.multiply(req);
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-
-    const EngineStats st = eng.stats();
-    EXPECT_EQ(st.requests, kCallers * kReps);
-
-    Matrix<double> am(m, m), bm(m, m);
-    am.fill_random(kSeedA);
-    bm.fill_random(kSeedB);
-    Matrix<double> c_ref(m, m);
-    gemm_ref<double>(false, false, m, m, m, 1.0, am.data(), bm.data(),
-                     c_ref.data());
-    for (int t = 0; t < kCallers; ++t) {
-      i64 pos = 0;
-      const std::vector<double>& c = cs[static_cast<size_t>(t)];
-      for (const Rect& r : lay.rects_of(me))
-        for (i64 i = r.r.lo; i < r.r.hi; ++i)
-          for (i64 j = r.c.lo; j < r.c.hi; ++j)
-            ASSERT_NEAR(c[static_cast<size_t>(pos++)], c_ref(i, j),
-                        1e-11 * static_cast<double>(m + 1))
-                << "rank " << me << " thread " << t;
-    }
+    std::vector<double> a(static_cast<size_t>(lay.local_size(me)), 1.0);
+    std::vector<double> c(a.size(), 0.0);
+    Request<double> req;
+    req.m = req.n = req.k = m;
+    req.a_layout = req.b_layout = req.c_layout = &lay;
+    req.a = a.data();
+    req.b = a.data();
+    req.c = c.data();
+    std::thread comm_caller([&] {
+      try {
+        world.barrier();
+      } catch (const Error& e) {
+        comm_err[static_cast<size_t>(me)] = e.what();
+      }
+    });
+    comm_caller.join();
+    std::thread engine_caller([&] {
+      try {
+        eng.multiply(req);
+      } catch (const Error& e) {
+        engine_err[static_cast<size_t>(me)] = e.what();
+      }
+    });
+    engine_caller.join();
+    eng.multiply(req);  // the owning rank still drives its engine
+    world.barrier();
   });
-}
-
-TEST(FiberPool, FiberBlockedOnMutexCompletesWithOneWorker) {
-  // Rank 0 takes a mutex and parks in recv; rank 1 then blocks the only
-  // worker on that mutex in the OS. The pool must grow so rank 2 can run,
-  // wake rank 0, and let it release the mutex.
-  Cluster cl(3, Machine::unit_test());
-  cl.set_fiber_workers(1);
-  std::mutex mu;
-  cl.run([&mu](Comm& c) {
-    double x = 1;
-    if (c.rank() == 0) {
-      std::lock_guard<std::mutex> lk(mu);
-      c.recv(&x, 1, 2, 0);
-    } else if (c.rank() == 1) {
-      std::lock_guard<std::mutex> lk(mu);
-    } else {
-      c.send(&x, 1, 0, 0);
-    }
-  });
-  EXPECT_GE(cl.fiber_workers_used(), 2);
-}
-
-TEST(FiberPool, ComputingFiberNeverGrowsPool) {
-  // Each rank computes for 100 ms without yielding while the other is
-  // runnable: no dispatch for many monitor samples, but the worker's CPU
-  // clock advances, so the pool stays at the one worker it was given.
-  Cluster cl(2, Machine::unit_test());
-  cl.set_fiber_workers(1);
-  cl.run([](Comm& c) {
-    const auto until =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
-    volatile double sink = 0;
-    while (std::chrono::steady_clock::now() < until) sink = sink + 1;
-    c.barrier();
-  });
-  EXPECT_EQ(cl.fiber_workers_used(), 1);
+  for (int r = 0; r < P; ++r) {
+    const std::string& ce = comm_err[static_cast<size_t>(r)];
+    const std::string& ee = engine_err[static_cast<size_t>(r)];
+    EXPECT_NE(ce.find("only rank fibers may call Comm operations"),
+              std::string::npos)
+        << "rank " << r << ": " << ce;
+    EXPECT_NE(ee.find("only the rank fiber that constructed an engine"),
+              std::string::npos)
+        << "rank " << r << ": " << ee;
+  }
 }
 
 TEST(FiberScale, ManyRanksOnSmallStacksSmoke) {
